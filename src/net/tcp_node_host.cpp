@@ -695,12 +695,28 @@ void TcpNodeHost::on_frame(ConnId conn, proto::Frame frame) {
     // Admission: server-to-server traffic is only accepted from connections
     // that greeted with NodeHello (the transport replays the greeting ahead
     // of buffered frames on every (re)connect) — a client connection must
-    // not be able to inject spoofed replication/GC traffic.
+    // not be able to inject spoofed replication/GC traffic — and only on
+    // the link it names: the header's sender DC must be the greeting
+    // peer's and its receiver DC ours, so a peer cannot speak for another
+    // DC. The decoder guarantees every item shares the header's DCs.
     {
       std::lock_guard lk(mu_);
-      if (!conn_peer_.contains(conn)) {
+      const auto peer = conn_peer_.find(conn);
+      const NodeId from = batch->items.front().from;
+      const NodeId to = batch->items.front().to;
+      const char* why = nullptr;
+      if (peer == conn_peer_.end()) {
+        why = "from un-greeted connection";
+      } else if (from.dc != peer->second.dc) {
+        why = "whose sender DC is not the greeting peer's";
+      } else if (to.dc != self_.dc) {
+        why = "whose receiver DC is not ours";
+      }
+      if (why != nullptr) {
         dropped_ += batch->items.size();
-        log("dropped batch from un-greeted connection");
+        log("dropped batch " + std::string(why) + " (dc" +
+            std::to_string(from.dc) + " -> dc" + std::to_string(to.dc) +
+            ")");
         return;
       }
     }

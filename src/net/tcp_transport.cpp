@@ -835,13 +835,13 @@ void LinkBatcher::flush() {
 }
 
 void LinkBatcher::flush_locked() {
-  stats_.protocol_bytes += writer_.stats().protocol_bytes;
-  stats_.overhead_bytes +=
-      writer_.stats().overhead_bytes + proto::kFrameHeaderBytes;
   // Encode into a recycled shard-arena buffer: the flushed frame's vector
   // returns there once the transport writes it, closing the reuse loop.
   std::vector<std::uint8_t> frame = transport_.acquire_buffer(conn_);
-  writer_.flush_to(frame);
+  proto::BatchEncodeStats split;
+  writer_.flush_to(frame, &split);
+  stats_.protocol_bytes += split.protocol_bytes;
+  stats_.overhead_bytes += split.overhead_bytes;
   ++stats_.batches;
   // FIFO: while older batches are parked, new ones must queue behind them
   // even if the transport would accept them now.

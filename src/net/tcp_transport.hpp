@@ -460,7 +460,7 @@ struct BatchStats {
   std::uint64_t messages = 0;
   std::uint64_t batches = 0;
   std::uint64_t protocol_bytes = 0;  // §V-charged bytes inside batches
-  std::uint64_t overhead_bytes = 0;  // envelopes + batch headers + prefixes
+  std::uint64_t overhead_bytes = 0;  // every other frame byte, as written
   std::uint64_t send_failures = 0;   // flushes rejected by backpressure
   std::uint64_t retried_batches = 0;  // parked batches later accepted
   std::uint64_t dropped_batches = 0;  // parked batches lost to the cap

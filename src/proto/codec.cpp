@@ -1,5 +1,6 @@
 #include "proto/codec.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <type_traits>
@@ -12,7 +13,7 @@ namespace pocc::proto {
 
 namespace {
 
-// The 0..14 wire ids must track the Message variant order: SimNetwork's
+// The 0..18 wire ids must track the Message variant order: SimNetwork's
 // accounting and SimNode's priority classing switch on index(), and the codec
 // reuses it as the on-the-wire type tag.
 template <WireType W, typename T>
@@ -45,6 +46,78 @@ static_assert(kMatches<WireType::kGetReq, GetReq> &&
 /// transport framing / measurement-only (see messages.hpp charging rule).
 enum class Charge : bool { kNo = false, kYes = true };
 
+/// Least bytes one batch item can take: varint from.part + varint to.part +
+/// varint sub-length + a (version + type) sub-body. Only bounds the item
+/// count the decoder will believe; the encoder counts what it writes.
+constexpr std::size_t kMinBatchItemBytes = 1 + 1 + 1 + 2;
+
+/// Most uncharged bytes a single-item message carries: op_id and
+/// blocked_us (10 each at worst) plus a ReadItem's two counters (5 each).
+constexpr std::size_t kUnchargedSlackBytes = 10 + 10 + 5 + 5;
+
+/// Bytes of the minimal LEB128 encoding of `v` (1..10).
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+/// Write the minimal LEB128 form of `v` at `p`; returns the bytes written.
+std::size_t put_varint(std::uint8_t* p, std::uint64_t v) {
+  std::size_t n = 0;
+  while (v >= 0x80) {
+    p[n++] = static_cast<std::uint8_t>(v | 0x80);
+    v >>= 7;
+  }
+  p[n++] = static_cast<std::uint8_t>(v);
+  return n;
+}
+
+enum class VarintRead { kOk, kTruncated, kMalformed };
+
+/// Read a minimal-form LEB128 value of at most `max_bytes` from
+/// [p, p+len). kMalformed: a continuation bit on byte `max_bytes`, a value
+/// past 64 bits, or a non-minimal encoding (a zero final byte after the
+/// first).
+VarintRead get_varint(const std::uint8_t* p, std::size_t len,
+                      std::size_t max_bytes, std::uint64_t* v,
+                      std::size_t* n) {
+  std::uint64_t acc = 0;
+  for (std::size_t i = 0; i < max_bytes; ++i) {
+    if (i == len) return VarintRead::kTruncated;
+    const std::uint8_t b = p[i];
+    if (i == 9 && b > 1) return VarintRead::kMalformed;  // beyond 64 bits
+    acc |= static_cast<std::uint64_t>(b & 0x7f) << (7 * i);
+    if ((b & 0x80) == 0) {
+      if (b == 0 && i > 0) return VarintRead::kMalformed;
+      *v = acc;
+      *n = i + 1;
+      return VarintRead::kOk;
+    }
+  }
+  return VarintRead::kMalformed;
+}
+
+/// Fill the one-byte varint slot at `at` with `v`, widening it in place
+/// (shifting everything after it) when `v` needs more than one byte.
+void fill_varint_slot(std::vector<std::uint8_t>& buf, std::size_t at,
+                      std::uint64_t v) {
+  const std::size_t n = varint_size(v);
+  if (n > 1) {
+    buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at + 1), n - 1, 0);
+  }
+  put_varint(buf.data() + at, v);
+}
+
+/// Append the length prefix of a frame whose body is `body` bytes long.
+void put_frame_prefix(std::vector<std::uint8_t>& out, std::size_t body) {
+  std::uint8_t buf[kMaxFramePrefixBytes];
+  out.insert(out.end(), buf, buf + put_varint(buf, body));
+}
+
 class Writer {
  public:
   explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
@@ -55,6 +128,16 @@ class Writer {
   void u64(std::uint64_t v, Charge c) { put_le(v, c); }
   void i64(std::int64_t v, Charge c) {
     put_le(static_cast<std::uint64_t>(v), c);
+  }
+  void varint(std::uint64_t v, Charge c) {
+    std::uint8_t buf[10];
+    raw(buf, put_varint(buf, v), c);
+  }
+  /// Signed varint: 0, -1, 1, -2, ... map to 0, 1, 2, 3, ...
+  void zigzag(std::int64_t v, Charge c) {
+    varint((static_cast<std::uint64_t>(v) << 1) ^
+               static_cast<std::uint64_t>(v >> 63),
+           c);
   }
   void raw(const void* p, std::size_t n, Charge c) {
     const auto* b = static_cast<const std::uint8_t*>(p);
@@ -122,8 +205,8 @@ void put_item(Writer& w, const ReadItem& it) {
   put_vv(w, it.dv);
   // Measurement-only fields ride along uncharged so decode round-trips
   // exactly (the checker and tests compare full structs).
-  w.u32(it.fresher_versions, Charge::kNo);
-  w.u32(it.unmerged_versions, Charge::kNo);
+  w.varint(it.fresher_versions, Charge::kNo);
+  w.varint(it.unmerged_versions, Charge::kNo);
 }
 
 void put_item_list(Writer& w, const std::vector<ReadItem>& items) {
@@ -140,7 +223,7 @@ struct EncodeVisitor {
     put_key(w, m.key);
     put_vv(w, m.rdv);
     w.u8(m.pessimistic ? 1 : 0, Charge::kYes);
-    w.u64(m.op_id, Charge::kNo);
+    w.varint(m.op_id, Charge::kNo);
   }
   void operator()(const PutReq& m) const {
     put_header(w, WireType::kPutReq);
@@ -149,7 +232,7 @@ struct EncodeVisitor {
     put_string(w, m.value, Charge::kYes);
     put_vv(w, m.dv);
     w.u8(m.pessimistic ? 1 : 0, Charge::kYes);
-    w.u64(m.op_id, Charge::kNo);
+    w.varint(m.op_id, Charge::kNo);
   }
   void operator()(const RoTxReq& m) const {
     put_header(w, WireType::kRoTxReq);
@@ -157,14 +240,14 @@ struct EncodeVisitor {
     put_key_list(w, m.keys);
     put_vv(w, m.rdv);
     w.u8(m.pessimistic ? 1 : 0, Charge::kYes);
-    w.u64(m.op_id, Charge::kNo);
+    w.varint(m.op_id, Charge::kNo);
   }
   void operator()(const GetReply& m) const {
     put_header(w, WireType::kGetReply);
     w.u64(m.client, Charge::kYes);
     put_item(w, m.item);
-    w.i64(m.blocked_us, Charge::kNo);
-    w.u64(m.op_id, Charge::kNo);
+    w.zigzag(m.blocked_us, Charge::kNo);
+    w.varint(m.op_id, Charge::kNo);
   }
   void operator()(const PutReply& m) const {
     put_header(w, WireType::kPutReply);
@@ -172,16 +255,16 @@ struct EncodeVisitor {
     put_key(w, m.key);
     w.i64(m.ut, Charge::kYes);
     w.u32(m.sr, Charge::kYes);
-    w.i64(m.blocked_us, Charge::kNo);
-    w.u64(m.op_id, Charge::kNo);
+    w.zigzag(m.blocked_us, Charge::kNo);
+    w.varint(m.op_id, Charge::kNo);
   }
   void operator()(const RoTxReply& m) const {
     put_header(w, WireType::kRoTxReply);
     w.u64(m.client, Charge::kYes);
     put_item_list(w, m.items);
     put_vv(w, m.tv);
-    w.i64(m.blocked_us, Charge::kNo);
-    w.u64(m.op_id, Charge::kNo);
+    w.zigzag(m.blocked_us, Charge::kNo);
+    w.varint(m.op_id, Charge::kNo);
   }
   void operator()(const SessionClosed& m) const {
     put_header(w, WireType::kSessionClosed);
@@ -215,7 +298,7 @@ struct EncodeVisitor {
     w.u64(m.tx_id, Charge::kYes);
     put_item_list(w, m.items);
     w.u8(m.aborted ? 1 : 0, Charge::kYes);
-    w.i64(m.blocked_us, Charge::kNo);
+    w.zigzag(m.blocked_us, Charge::kNo);
   }
   void operator()(const GcReport& m) const {
     put_header(w, WireType::kGcReport);
@@ -258,7 +341,7 @@ struct EncodeVisitor {
     put_header(w, WireType::kOverloaded);
     w.u64(m.client, Charge::kYes);
     w.i64(m.retry_after_us, Charge::kYes);
-    w.u64(m.op_id, Charge::kNo);
+    w.varint(m.op_id, Charge::kNo);
   }
   void operator()(const RouteProbe&) const {
     POCC_ASSERT_MSG(false, "RouteProbe is test-only and never encoded");
@@ -295,6 +378,35 @@ class Reader {
   std::uint32_t u32() { return get_le<std::uint32_t>(); }
   std::uint64_t u64() { return get_le<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    std::size_t n = 0;
+    switch (get_varint(p_, remaining(), 10, &v, &n)) {
+      case VarintRead::kOk:
+        p_ += n;
+        return v;
+      case VarintRead::kTruncated:
+        fail("truncated frame: varint");
+        return 0;
+      case VarintRead::kMalformed:
+        fail("malformed varint");
+        return 0;
+    }
+    return 0;
+  }
+  std::uint32_t varint32() {
+    const std::uint64_t v = varint();
+    if (v > std::numeric_limits<std::uint32_t>::max()) {
+      fail("varint exceeds 32 bits");
+      return 0;
+    }
+    return static_cast<std::uint32_t>(v);
+  }
+  std::int64_t zigzag() {
+    const std::uint64_t u = varint();
+    return static_cast<std::int64_t>((u >> 1) ^ (0 - (u & 1)));
+  }
 
   VersionVector vv() {
     const std::uint8_t n = u8();
@@ -355,8 +467,8 @@ class Reader {
     it.sr = u32();
     it.ut = i64();
     it.dv = vv();
-    it.fresher_versions = u32();
-    it.unmerged_versions = u32();
+    it.fresher_versions = varint32();
+    it.unmerged_versions = varint32();
     return it;
   }
 
@@ -398,19 +510,21 @@ class Reader {
 
 Frame decode_body(Reader& r, WireType type);
 
-/// One routed sub-message of a Batch body: envelope, sub-length, then a full
-/// (version + type + payload) message body. Only protocol messages are legal
-/// — control frames and nested batches are corruption.
-bool decode_batch_item(Reader& r, RoutedMessage* out) {
-  out->from = r.node();
-  out->to = r.node();
-  const std::uint32_t len = r.u32();
+/// One routed sub-message of a Batch body: partitions, sub-length, then a
+/// full (version + type + payload) message body; the DCs come from the batch
+/// header. Only protocol messages are legal — control frames and nested
+/// batches are corruption.
+bool decode_batch_item(Reader& r, DcId from_dc, DcId to_dc,
+                       RoutedMessage* out) {
+  out->from = NodeId{from_dc, r.varint32()};
+  out->to = NodeId{to_dc, r.varint32()};
+  const std::uint64_t len = r.varint();
   if (!r.ok()) return false;
   if (len < 2 || len > r.remaining()) {
     r.fail("truncated batch item");
     return false;
   }
-  Reader sub(r.cursor(), len);
+  Reader sub(r.cursor(), static_cast<std::size_t>(len));
   const std::uint8_t version = sub.u8();
   if (version != kWireVersion) {
     r.fail("unsupported wire version inside batch");
@@ -430,7 +544,7 @@ bool decode_batch_item(Reader& r, RoutedMessage* out) {
     r.fail("trailing bytes in batch item");
     return false;
   }
-  r.skip(len);
+  r.skip(static_cast<std::size_t>(len));
   out->msg = std::move(std::get<Message>(f));
   return true;
 }
@@ -443,7 +557,7 @@ Frame decode_body(Reader& r, WireType type) {
       m.key = r.key();
       m.rdv = r.vv();
       m.pessimistic = r.u8() != 0;
-      m.op_id = r.u64();
+      m.op_id = r.varint();
       return Frame{Message{std::move(m)}};
     }
     case WireType::kPutReq: {
@@ -453,7 +567,7 @@ Frame decode_body(Reader& r, WireType type) {
       m.value = r.str();
       m.dv = r.vv();
       m.pessimistic = r.u8() != 0;
-      m.op_id = r.u64();
+      m.op_id = r.varint();
       return Frame{Message{std::move(m)}};
     }
     case WireType::kRoTxReq: {
@@ -462,15 +576,15 @@ Frame decode_body(Reader& r, WireType type) {
       m.keys = r.key_list();
       m.rdv = r.vv();
       m.pessimistic = r.u8() != 0;
-      m.op_id = r.u64();
+      m.op_id = r.varint();
       return Frame{Message{std::move(m)}};
     }
     case WireType::kGetReply: {
       GetReply m;
       m.client = r.u64();
       m.item = r.item();
-      m.blocked_us = r.i64();
-      m.op_id = r.u64();
+      m.blocked_us = r.zigzag();
+      m.op_id = r.varint();
       return Frame{Message{std::move(m)}};
     }
     case WireType::kPutReply: {
@@ -479,8 +593,8 @@ Frame decode_body(Reader& r, WireType type) {
       m.key = r.key();
       m.ut = r.i64();
       m.sr = r.u32();
-      m.blocked_us = r.i64();
-      m.op_id = r.u64();
+      m.blocked_us = r.zigzag();
+      m.op_id = r.varint();
       return Frame{Message{std::move(m)}};
     }
     case WireType::kRoTxReply: {
@@ -488,8 +602,8 @@ Frame decode_body(Reader& r, WireType type) {
       m.client = r.u64();
       m.items = r.item_list();
       m.tv = r.vv();
-      m.blocked_us = r.i64();
-      m.op_id = r.u64();
+      m.blocked_us = r.zigzag();
+      m.op_id = r.varint();
       return Frame{Message{std::move(m)}};
     }
     case WireType::kSessionClosed: {
@@ -528,7 +642,7 @@ Frame decode_body(Reader& r, WireType type) {
       m.tx_id = r.u64();
       m.items = r.item_list();
       m.aborted = r.u8() != 0;
-      m.blocked_us = r.i64();
+      m.blocked_us = r.zigzag();
       return Frame{Message{std::move(m)}};
     }
     case WireType::kGcReport: {
@@ -579,7 +693,7 @@ Frame decode_body(Reader& r, WireType type) {
       Overloaded m;
       m.client = r.u64();
       m.retry_after_us = r.i64();
-      m.op_id = r.u64();
+      m.op_id = r.varint();
       return Frame{Message{m}};
     }
     case WireType::kNodeHello: {
@@ -594,22 +708,23 @@ Frame decode_body(Reader& r, WireType type) {
       return Frame{h};
     }
     case WireType::kBatch: {
-      const std::uint32_t n = r.u32();
+      const DcId from_dc = r.varint32();
+      const DcId to_dc = r.varint32();
+      const std::uint64_t n = r.varint();
       BatchFrame batch;
       if (!r.ok()) return Frame{};
       if (n == 0) {
         r.fail("empty batch");
         return Frame{};
       }
-      // Each item costs at least its envelope + a 2-byte sub-body.
-      if (n > r.remaining() / (kBatchItemOverheadBytes + 2) + 1) {
+      if (n > r.remaining() / kMinBatchItemBytes) {
         r.fail("implausible batch count");
         return Frame{};
       }
-      batch.items.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
+      batch.items.reserve(static_cast<std::size_t>(n));
+      for (std::uint64_t i = 0; i < n; ++i) {
         RoutedMessage item;
-        if (!decode_batch_item(r, &item)) return Frame{};
+        if (!decode_batch_item(r, from_dc, to_dc, &item)) return Frame{};
         batch.items.push_back(std::move(item));
       }
       return Frame{std::move(batch)};
@@ -626,34 +741,41 @@ bool known_type(std::uint8_t t) {
          t == static_cast<std::uint8_t>(WireType::kBatch);
 }
 
-/// Reserve the length prefix, encode via `fn`, then patch the prefix.
+/// Reserve a one-byte length prefix, encode via `fn`, then fill the prefix
+/// (widened in place for bodies of 128 bytes or more).
 template <typename Fn>
 std::size_t encode_with_prefix(std::vector<std::uint8_t>& out, Fn&& fn) {
   const std::size_t prefix_at = out.size();
-  out.insert(out.end(), kFrameHeaderBytes, 0);
+  out.push_back(0);
   Writer w(out);
-  std::size_t charged = fn(w);
-  const std::size_t body = out.size() - prefix_at - kFrameHeaderBytes;
+  fn(w);
+  const std::size_t body = out.size() - prefix_at - 1;
   POCC_ASSERT_MSG(body <= kMaxFrameBytes, "frame exceeds kMaxFrameBytes");
-  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-    out[prefix_at + i] = static_cast<std::uint8_t>(body >> (8 * i));
-  }
-  (void)charged;
+  fill_varint_slot(out, prefix_at, body);
   return body;
 }
 
 }  // namespace
 
 std::size_t encode(const Message& m, std::vector<std::uint8_t>& out) {
+  const std::size_t expected = wire_size(m);
+  // Size the buffer once: the charged bytes plus the prefix and room for
+  // the uncharged varints (op_id, blocked_us, a ReadItem's counters) —
+  // growing a fresh vector byte by byte costs several reallocations. Growth
+  // stays geometric when `out` already holds other frames.
+  const std::size_t need =
+      out.size() + kMaxFramePrefixBytes + expected + kUnchargedSlackBytes;
+  if (need > out.capacity()) {
+    out.reserve(std::max(need, 2 * out.capacity()));
+  }
   std::size_t charged = 0;
   const std::size_t body = encode_with_prefix(out, [&](Writer& w) {
     std::visit(EncodeVisitor{w}, m);
     charged = w.charged();
-    return charged;
   });
   // The §V accounting model and the real wire format must agree exactly
   // (messages.hpp charging rule); any new or resized field shows up here.
-  POCC_ASSERT_MSG(charged == wire_size(m),
+  POCC_ASSERT_MSG(charged == expected,
                   "encoded protocol bytes diverged from wire_size()");
   return body;
 }
@@ -662,7 +784,6 @@ std::size_t encode(const NodeHello& h, std::vector<std::uint8_t>& out) {
   return encode_with_prefix(out, [&](Writer& w) {
     put_header(w, WireType::kNodeHello);
     put_node(w, h.node);
-    return w.charged();
   });
 }
 
@@ -671,7 +792,6 @@ std::size_t encode(const ClientHello& h, std::vector<std::uint8_t>& out) {
     put_header(w, WireType::kClientHello);
     w.u64(h.client, Charge::kYes);
     w.u32(h.preferred_part, Charge::kYes);
-    return w.charged();
   });
 }
 
@@ -680,53 +800,58 @@ std::size_t encode(const ClientHello& h, std::vector<std::uint8_t>& out) {
 BatchWriter::BatchWriter() = default;
 
 void BatchWriter::add(NodeId from, NodeId to, const Message& m) {
-  if (buf_.empty()) {
-    // Lazily start the staged body: outer version + type + count placeholder
-    // (patched by flush_to). All of it is batching overhead, never §V
-    // protocol bytes — the per-message version/type live in the sub-bodies.
-    buf_.push_back(kWireVersion);
-    buf_.push_back(static_cast<std::uint8_t>(WireType::kBatch));
-    buf_.insert(buf_.end(), 4, 0);
-    stats_.overhead_bytes += kBatchHeaderOverheadBytes;
+  if (count_ == 0) {
+    from_dc_ = from.dc;
+    to_dc_ = to.dc;
   }
-  Writer w(buf_);
-  w.u32(from.dc, Charge::kNo);
-  w.u32(from.part, Charge::kNo);
-  w.u32(to.dc, Charge::kNo);
-  w.u32(to.part, Charge::kNo);
-  const std::size_t len_at = buf_.size();
-  w.u32(0, Charge::kNo);  // sub-body length, patched below
-  const std::size_t sub_start = buf_.size();
+  POCC_ASSERT_MSG(from.dc == from_dc_ && to.dc == to_dc_,
+                  "a batch carries one link: items must share both DCs");
+  Writer w(items_);
+  w.varint(from.part, Charge::kNo);
+  w.varint(to.part, Charge::kNo);
+  const std::size_t len_at = items_.size();
+  items_.push_back(0);  // sub-body length slot, filled below
   std::visit(EncodeVisitor{w}, m);
-  const std::size_t sub_len = buf_.size() - sub_start;
-  for (std::size_t i = 0; i < 4; ++i) {
-    buf_[len_at + i] = static_cast<std::uint8_t>(sub_len >> (8 * i));
-  }
+  fill_varint_slot(items_, len_at, items_.size() - len_at - 1);
   // Same honesty rule as standalone frames: the charged bytes of every
   // batched message must equal its wire_size().
   POCC_ASSERT_MSG(w.charged() == wire_size(m),
                   "batched protocol bytes diverged from wire_size()");
-  stats_.protocol_bytes += w.charged();
-  stats_.overhead_bytes += kBatchItemOverheadBytes;
+  protocol_bytes_ += w.charged();
   ++count_;
 }
 
-std::size_t BatchWriter::flush_to(std::vector<std::uint8_t>& out) {
+std::size_t BatchWriter::body_bytes() const {
+  if (count_ == 0) return 0;
+  // version + type + sender dc + receiver dc + count, then the items.
+  return 2 + varint_size(from_dc_) + varint_size(to_dc_) +
+         varint_size(count_) + items_.size();
+}
+
+std::size_t BatchWriter::flush_to(std::vector<std::uint8_t>& out,
+                                  BatchEncodeStats* stats) {
   POCC_ASSERT_MSG(count_ > 0, "flushing an empty batch");
-  const std::size_t count = count_;
-  for (std::size_t i = 0; i < 4; ++i) {
-    buf_[2 + i] = static_cast<std::uint8_t>(count >> (8 * i));
-  }
-  const std::size_t body = buf_.size();
+  const std::size_t body = body_bytes();
   POCC_ASSERT_MSG(body <= kMaxFrameBytes, "batch exceeds kMaxFrameBytes");
-  out.reserve(out.size() + kFrameHeaderBytes + body);
-  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-    out.push_back(static_cast<std::uint8_t>(body >> (8 * i)));
+  const std::size_t frame_start = out.size();
+  out.reserve(frame_start + kMaxFramePrefixBytes + body);
+  put_frame_prefix(out, body);
+  // The whole header is batching overhead, never §V protocol bytes — the
+  // per-message version/type live in the sub-bodies.
+  Writer w(out);
+  w.u8(kWireVersion, Charge::kNo);
+  w.u8(static_cast<std::uint8_t>(WireType::kBatch), Charge::kNo);
+  w.varint(from_dc_, Charge::kNo);
+  w.varint(to_dc_, Charge::kNo);
+  w.varint(count_, Charge::kNo);
+  out.insert(out.end(), items_.begin(), items_.end());
+  if (stats != nullptr) {
+    stats->protocol_bytes = protocol_bytes_;
+    stats->overhead_bytes = out.size() - frame_start - protocol_bytes_;
   }
-  out.insert(out.end(), buf_.begin(), buf_.end());
-  buf_.clear();
+  items_.clear();
   count_ = 0;
-  stats_ = BatchEncodeStats{};
+  protocol_bytes_ = 0;
   return body;
 }
 
@@ -736,29 +861,50 @@ std::size_t encode(const BatchFrame& batch, std::vector<std::uint8_t>& out,
   for (const RoutedMessage& item : batch.items) {
     w.add(item.from, item.to, item.msg);
   }
-  if (stats != nullptr) {
-    *stats = w.stats();
-    stats->overhead_bytes += kFrameHeaderBytes;
+  return w.flush_to(out, stats);
+}
+
+// ------------------------------------------------------------ framing ------
+
+FrameCut cut_frame(const std::uint8_t* data, std::size_t len) {
+  FrameCut cut;
+  std::uint64_t body = 0;
+  std::size_t prefix = 0;
+  switch (get_varint(data, len, kMaxFramePrefixBytes, &body, &prefix)) {
+    case VarintRead::kTruncated:
+      return cut;  // kNeedMore
+    case VarintRead::kMalformed:
+      cut.status = FrameStatus::kError;
+      cut.error = "malformed frame length prefix";
+      return cut;
+    case VarintRead::kOk:
+      break;
   }
-  return w.flush_to(out);
+  if (body > kMaxFrameBytes) {
+    cut.status = FrameStatus::kError;
+    cut.error = "frame length exceeds limit";
+    return cut;
+  }
+  if (len - prefix < body) return cut;  // kNeedMore
+  cut.status = FrameStatus::kOk;
+  cut.prefix_bytes = prefix;
+  cut.frame_bytes = prefix + static_cast<std::size_t>(body);
+  return cut;
 }
 
 DecodeResult decode_frame(const std::uint8_t* data, std::size_t len) {
   DecodeResult res;
-  if (len < kFrameHeaderBytes) return res;  // kNeedMore
-  std::size_t body = 0;
-  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-    body |= static_cast<std::size_t>(data[i]) << (8 * i);
-  }
-  if (body > kMaxFrameBytes) {
+  const FrameCut cut = cut_frame(data, len);
+  if (cut.status == FrameStatus::kNeedMore) return res;
+  if (cut.status == FrameStatus::kError) {
     res.status = DecodeResult::Status::kError;
-    res.error = "frame length " + std::to_string(body) + " exceeds limit";
+    res.error = cut.error;
     return res;
   }
-  if (len < kFrameHeaderBytes + body) return res;  // kNeedMore
-  res.consumed = kFrameHeaderBytes + body;
+  res.consumed = cut.frame_bytes;
 
-  Reader r(data + kFrameHeaderBytes, body);
+  const std::size_t body = cut.frame_bytes - cut.prefix_bytes;
+  Reader r(data + cut.prefix_bytes, body);
   if (body < 2) {
     res.status = DecodeResult::Status::kError;
     res.error = "frame too short for version + type";

@@ -2,12 +2,30 @@
 //
 // This is the process-boundary twin of the in-memory message structs: the TCP
 // deployment (net/tcp_transport.hpp, poccd, pocc_loadgen) exchanges exactly
-// these frames. Layout of one frame:
+// these frames. Layout of one frame (v6):
 //
-//   u32  body length (little-endian, transport framing, never charged)
-//   u8   wire version (kWireVersion; receivers reject other versions)
-//   u8   message type (stable on-the-wire ids, see WireType)
-//   ...  message payload, field by field, little-endian
+//   varint  body length (minimal LEB128, 1-4 bytes, <= kMaxFrameBytes;
+//           transport framing, never charged)
+//   u8      wire version (kWireVersion; receivers reject other versions)
+//   u8      message type (stable on-the-wire ids, see WireType)
+//   ...     message payload, field by field: §V-charged fields fixed-width
+//           little-endian (their sizes are what wire_size() models), the
+//           uncharged transport fields compact — op_id as a varint,
+//           blocked_us as a zigzag varint, the ReadItem measurement
+//           counters as varints
+//
+// A Batch body (WireType::kBatch) is
+//
+//   u8 version | u8 type | varint sender dc | varint receiver dc |
+//   varint count | count x (varint from.part | varint to.part |
+//                           varint sub-length | sub-body)
+//
+// where each sub-body is a complete (version + type + payload) protocol
+// message. A link joins two single-DC processes, so both DCs ride the
+// header once and each item carries only its partitions.
+//
+// Every varint is minimal-form: the decoder rejects over-long and
+// non-minimal encodings, so a decoded frame re-encodes to the same bytes.
 //
 // Keys cross the wire as their original strings: KeyIds are a *per-process*
 // interning optimization and are meaningless to a remote peer. encode() reads
@@ -46,15 +64,43 @@ namespace pocc::proto {
 /// v5: ClientHello carries the client's preferred partition so the sharded
 /// server can pin the connection to the event loop owning that partition's
 /// worker (net/tcp_transport.hpp, "pinning").
-inline constexpr std::uint8_t kWireVersion = 5;
-
-/// Size of the frame length prefix preceding every body.
-inline constexpr std::size_t kFrameHeaderBytes = 4;
+/// v6: compact transport framing — varint frame length prefix, Batch
+/// headers carrying the sender/receiver DC once with varint partitions and
+/// sub-lengths per item, varint op_id and measurement counters, zigzag
+/// blocked_us. Every §V-charged field is unchanged.
+inline constexpr std::uint8_t kWireVersion = 6;
 
 /// Upper bound on one frame's body; larger lengths are treated as corruption.
 inline constexpr std::size_t kMaxFrameBytes = 16u << 20;
 
-/// Stable on-the-wire message-type ids. Values 0..17 deliberately mirror the
+/// Longest frame length prefix: kMaxFrameBytes needs 25 bits, i.e. four
+/// 7-bit LEB128 groups.
+inline constexpr std::size_t kMaxFramePrefixBytes = 4;
+
+/// Outcome of cutting (or decoding) the frame at the front of a stream.
+enum class FrameStatus {
+  kOk,        // a whole frame is buffered
+  kNeedMore,  // the buffer holds only part of a frame; feed more bytes
+  kError,     // corrupted input; the connection is dead
+};
+
+/// Where the frame at the front of a byte stream ends, judged from its
+/// length prefix alone. The one frame cutter of the deployment: the decoder
+/// and frame-forwarding tools (pocc_chaosproxy) both use it.
+struct FrameCut {
+  FrameStatus status = FrameStatus::kNeedMore;
+  std::size_t prefix_bytes = 0;  // kOk: bytes of the length prefix
+  std::size_t frame_bytes = 0;   // kOk: prefix + body
+  const char* error = nullptr;   // kError: why
+};
+
+/// Read the length prefix at the front of [data, data+len). kNeedMore while
+/// the prefix or the body is incomplete; kError for an over-long prefix (a
+/// continuation bit on its 4th byte), a non-minimal one, or a body length
+/// above kMaxFrameBytes.
+FrameCut cut_frame(const std::uint8_t* data, std::size_t len);
+
+/// Stable on-the-wire message-type ids. Values 0..18 deliberately mirror the
 /// Message variant indices (static_asserted in codec.cpp); the 200+ range is
 /// transport control traffic that never reaches a protocol engine.
 enum class WireType : std::uint8_t {
@@ -108,7 +154,8 @@ struct ClientHello {
 /// One protocol message with its routing envelope, as carried inside a Batch
 /// frame. Multi-partition hosts need the explicit (from, to) pair: a link
 /// connects two *processes*, each hosting several (dc, partition) nodes, so
-/// connection identity alone no longer names the endpoints.
+/// connection identity alone no longer names the endpoints. Every item of
+/// one batch shares from.dc and to.dc (the wire carries them once).
 struct RoutedMessage {
   NodeId from;
   NodeId to;
@@ -124,14 +171,6 @@ struct BatchFrame {
   std::vector<RoutedMessage> items;
 };
 
-/// Per-envelope batching overhead in body bytes: from(8) + to(8) + the u32
-/// sub-body length. The sub-body itself re-carries version + type, which are
-/// already charged as protocol bytes by wire_size().
-inline constexpr std::size_t kBatchItemOverheadBytes = 8 + 8 + 4;
-
-/// Batch body bytes that are not per-item: outer version + type + u32 count.
-inline constexpr std::size_t kBatchHeaderOverheadBytes = 1 + 1 + 4;
-
 /// Everything one frame can carry.
 using Frame = std::variant<Message, NodeHello, ClientHello, BatchFrame>;
 
@@ -145,19 +184,21 @@ std::size_t encode(const ClientHello& h, std::vector<std::uint8_t>& out);
 
 /// Byte split of one encoded batch: `protocol` is what wire_size() charges
 /// across the contained messages (§V accounting, identical to sending each
-/// message as its own frame); `overhead` is everything batching added — the
-/// routing envelopes, sub-lengths, the batch header and the frame length
-/// prefix. Tracked separately so the deployment can report how much framing
-/// the coalescing policy costs/saves (docs/DESIGN.md deviation 8).
+/// message as its own frame); `overhead` is every other byte of the frame as
+/// written — the routing envelopes, sub-lengths, the batch header, the
+/// frame length prefix and any uncharged fields inside the messages — so
+/// protocol + overhead is exactly the frame size. Tracked separately so the
+/// deployment can report how much framing the coalescing policy costs/saves
+/// (docs/DESIGN.md deviation 8).
 struct BatchEncodeStats {
   std::size_t protocol_bytes = 0;
   std::size_t overhead_bytes = 0;
 };
 
 /// Append one Batch frame carrying `batch` to `out`. Returns the body size.
-/// Asserts the batch is non-empty and contains no RouteProbe. `stats`, when
-/// given, receives the protocol/overhead byte split (including the length
-/// prefix in overhead).
+/// Asserts the batch is non-empty, its items share one sender DC and one
+/// receiver DC, and it contains no RouteProbe. `stats`, when given, receives
+/// the protocol/overhead byte split of the whole frame.
 std::size_t encode(const BatchFrame& batch, std::vector<std::uint8_t>& out,
                    BatchEncodeStats* stats = nullptr);
 
@@ -169,32 +210,34 @@ class BatchWriter {
  public:
   BatchWriter();
 
-  /// Encode one routed message into the staged batch.
+  /// Encode one routed message into the staged batch. Asserts that `from`
+  /// and `to` are in the same DCs as the batch's first item.
   void add(NodeId from, NodeId to, const Message& m);
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
   /// Staged body size so far (what the wire frame's body will be).
-  [[nodiscard]] std::size_t body_bytes() const { return buf_.size(); }
-  /// Protocol/overhead split of the staged bytes (prefix not yet included).
-  [[nodiscard]] const BatchEncodeStats& stats() const { return stats_; }
+  [[nodiscard]] std::size_t body_bytes() const;
 
-  /// Append the completed frame (length prefix + staged body) to `out` and
-  /// reset to empty. Asserts at least one message was staged.
-  std::size_t flush_to(std::vector<std::uint8_t>& out);
+  /// Append the completed frame (length prefix + header + staged items) to
+  /// `out` and reset to empty; `stats`, when given, receives the frame's
+  /// protocol/overhead split. Returns the body size. Asserts at least one
+  /// message was staged.
+  std::size_t flush_to(std::vector<std::uint8_t>& out,
+                       BatchEncodeStats* stats = nullptr);
 
  private:
-  std::vector<std::uint8_t> buf_;  // staged body: header + items
+  std::vector<std::uint8_t> items_;  // staged item envelopes + sub-bodies
   std::size_t count_ = 0;
-  BatchEncodeStats stats_;
+  std::size_t protocol_bytes_ = 0;
+  DcId from_dc_ = 0;
+  DcId to_dc_ = 0;
 };
 
 struct DecodeResult {
-  enum class Status {
-    kOk,        // `frame` holds the decoded frame, `consumed` bytes eaten
-    kNeedMore,  // the buffer holds only part of a frame; feed more bytes
-    kError,     // corrupted input; `error` explains, the connection is dead
-  };
+  /// kOk: `frame` holds the decoded frame, `consumed` bytes eaten;
+  /// kError: `error` explains.
+  using Status = FrameStatus;
   Status status = Status::kNeedMore;
   Frame frame;
   std::size_t consumed = 0;  // bytes consumed from the input (prefix + body)

@@ -260,7 +260,7 @@ const char* message_name(const Message& m);
 /// Charging rule: wire_size(m) == encoded frame body size (proto/codec.hpp)
 /// minus the transport-framing fields the codec additionally carries — op_id
 /// on requests/replies, the measurement-only blocked_us / fresher_versions /
-/// unmerged_versions fields, and the 4-byte frame length prefix. The codec
+/// unmerged_versions fields, and the varint frame length prefix. The codec
 /// asserts this equality on every encode, so the §V accounting can never
 /// drift from the real wire format. (RouteProbe is test-only, never encoded;
 /// its nominal 8 bytes are kept for the zero-copy routing tests.)

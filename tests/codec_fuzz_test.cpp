@@ -1,10 +1,13 @@
 // Seed-deterministic codec fuzzing (ctest label `fuzz`, like the cluster
 // fuzz suites — see docs/TESTING.md).
 //
-// Three lanes:
-//   * random well-formed messages -> encode -> decode -> field equality,
+// Lanes:
+//   * random well-formed messages and batches -> encode -> decode -> field
+//     equality (batches also: protocol + overhead bytes == frame bytes),
 //   * truncation: every well-formed frame cut at every length must decode as
 //     kNeedMore or kError — never crash, never mis-decode as a full frame,
+//   * length prefixes: truncated ones are kNeedMore, over-long, non-minimal
+//     and over-limit ones are kError,
 //   * corruption: random byte flips / random garbage must yield kOk with a
 //     plausible frame, kNeedMore or kError — never a crash or an OOM.
 #include "proto/codec.hpp"
@@ -369,15 +372,16 @@ TEST(CodecFuzz, RandomMessagesRoundTripExactly) {
   }
 }
 
+/// A batch of one link: every item shares the sender and receiver DC.
 BatchFrame random_batch(Rng& rng) {
   BatchFrame batch;
   const std::size_t n = 1 + rng.uniform(5);
+  const auto from_dc = static_cast<DcId>(rng.uniform(8));
+  const auto to_dc = static_cast<DcId>(rng.uniform(8));
   for (std::size_t i = 0; i < n; ++i) {
     RoutedMessage item;
-    item.from = NodeId{static_cast<DcId>(rng.uniform(8)),
-                       static_cast<PartitionId>(rng.uniform(32))};
-    item.to = NodeId{static_cast<DcId>(rng.uniform(8)),
-                     static_cast<PartitionId>(rng.uniform(32))};
+    item.from = NodeId{from_dc, static_cast<PartitionId>(rng.uniform(4096))};
+    item.to = NodeId{to_dc, static_cast<PartitionId>(rng.uniform(4096))};
     item.msg = random_message(rng);
     batch.items.push_back(std::move(item));
   }
@@ -391,10 +395,14 @@ TEST(CodecFuzz, RandomBatchesRoundTripExactly) {
     std::vector<std::uint8_t> buf;
     BatchEncodeStats stats;
     encode(batch, buf, &stats);
-    // Overhead model must hold for every composition.
-    ASSERT_EQ(stats.overhead_bytes,
-              kBatchHeaderOverheadBytes + kFrameHeaderBytes +
-                  batch.items.size() * kBatchItemOverheadBytes);
+    // The split is exact for every composition: the protocol share is what
+    // wire_size() charges, and the overhead is every other byte written.
+    std::size_t charged = 0;
+    for (const RoutedMessage& item : batch.items) {
+      charged += wire_size(item.msg);
+    }
+    ASSERT_EQ(stats.protocol_bytes, charged);
+    ASSERT_EQ(stats.protocol_bytes + stats.overhead_bytes, buf.size());
     const DecodeResult res = decode_frame(buf.data(), buf.size());
     ASSERT_EQ(res.status, DecodeResult::Status::kOk)
         << "iteration " << i << ": " << res.error;
@@ -455,6 +463,76 @@ TEST(CodecFuzz, TruncatedFramesNeverDecode) {
       ASSERT_EQ(res.status, DecodeResult::Status::kNeedMore)
           << message_name(m) << " cut at " << cut;
     }
+  }
+}
+
+/// Minimal LEB128 bytes of `v`, written independently of the codec.
+std::vector<std::uint8_t> leb128(std::uint64_t v) {
+  std::vector<std::uint8_t> out;
+  do {
+    const auto group = static_cast<std::uint8_t>(v & 0x7f);
+    v >>= 7;
+    out.push_back(v != 0 ? (group | 0x80) : group);
+  } while (v != 0);
+  return out;
+}
+
+TEST(CodecFuzz, TruncatedPrefixesNeedMore) {
+  Rng rng(kCampaignSeed + 7);
+  for (int i = 0; i < 2'000; ++i) {
+    // Spread lengths over every prefix width up to kMaxFrameBytes.
+    const std::uint64_t body =
+        rng.uniform(std::uint64_t{1} << (7 * (1 + rng.uniform(4)))) %
+        (kMaxFrameBytes + 1);
+    const std::vector<std::uint8_t> prefix = leb128(body);
+    // Every strict prefix of the prefix, and the whole prefix without the
+    // body, is an incomplete frame — never an error.
+    for (std::size_t cut = 0; cut < prefix.size(); ++cut) {
+      ASSERT_EQ(cut_frame(prefix.data(), cut).status, FrameStatus::kNeedMore)
+          << body << " cut at " << cut;
+      ASSERT_EQ(decode_frame(prefix.data(), cut).status,
+                DecodeResult::Status::kNeedMore);
+    }
+    if (body > 0) {
+      ASSERT_EQ(cut_frame(prefix.data(), prefix.size()).status,
+                FrameStatus::kNeedMore)
+          << body;
+    }
+  }
+}
+
+TEST(CodecFuzz, MalformedPrefixesAreErrors) {
+  Rng rng(kCampaignSeed + 8);
+  for (int i = 0; i < 2'000; ++i) {
+    std::vector<std::uint8_t> buf;
+    switch (rng.uniform(3)) {
+      case 0: {  // over-long: four continuation bytes, then anything
+        for (int b = 0; b < 4; ++b) {
+          buf.push_back(static_cast<std::uint8_t>(0x80 | rng.uniform(128)));
+        }
+        break;
+      }
+      case 1: {  // non-minimal: a value padded with a zero final group
+        buf = leb128(rng.uniform(std::uint64_t{1} << 21));
+        buf.back() |= 0x80;
+        buf.push_back(0x00);
+        break;
+      }
+      default: {  // minimal but above kMaxFrameBytes, up to 4 bytes
+        const std::uint64_t above = (std::uint64_t{1} << 28) - kMaxFrameBytes;
+        buf = leb128(kMaxFrameBytes + 1 + rng.uniform(above - 1));
+        break;
+      }
+    }
+    // Trailing bytes (a would-be body) must not change the verdict.
+    const std::size_t extra = rng.uniform(8);
+    for (std::size_t b = 0; b < extra; ++b) {
+      buf.push_back(static_cast<std::uint8_t>(rng.uniform(256)));
+    }
+    ASSERT_EQ(cut_frame(buf.data(), buf.size()).status, FrameStatus::kError)
+        << "iteration " << i;
+    ASSERT_EQ(decode_frame(buf.data(), buf.size()).status,
+              DecodeResult::Status::kError);
   }
 }
 

@@ -1,10 +1,13 @@
 // Wire codec: exhaustive per-variant round trips, charged-bytes == wire_size
-// verification against an independent framing model, version/type rejection,
-// and key re-interning semantics.
+// verification against an independent framing model, varint boundary
+// values, golden v6 frames, version/type/prefix rejection, and key
+// re-interning semantics.
 #include "proto/codec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -30,11 +33,30 @@ ReadItem sample_item(const std::string& key, const std::string& value) {
   return it;
 }
 
+/// Minimal LEB128 bytes of `v` — the test's own model of the varint form.
+std::vector<std::uint8_t> leb128(std::uint64_t v) {
+  std::vector<std::uint8_t> out;
+  do {
+    const auto group = static_cast<std::uint8_t>(v & 0x7f);
+    v >>= 7;
+    out.push_back(v != 0 ? (group | 0x80) : group);
+  } while (v != 0);
+  return out;
+}
+
+std::size_t leb128_bytes(std::uint64_t v) { return leb128(v).size(); }
+
+/// Zigzag-mapped LEB128 length of a signed value.
+std::size_t zigzag_bytes(std::int64_t v) {
+  const auto u = static_cast<std::uint64_t>(v);
+  return leb128_bytes(v >= 0 ? u * 2 : ~u * 2 + 1);
+}
+
 /// Encode + decode one message and return the decoded copy.
 Message round_trip(const Message& m) {
   std::vector<std::uint8_t> buf;
   const std::size_t body = encode(m, buf);
-  EXPECT_EQ(buf.size(), body + kFrameHeaderBytes);
+  EXPECT_EQ(buf.size(), body + leb128_bytes(body));
   const DecodeResult res = decode_frame(buf.data(), buf.size());
   EXPECT_EQ(res.status, DecodeResult::Status::kOk) << res.error;
   EXPECT_EQ(res.consumed, buf.size());
@@ -49,35 +71,69 @@ bool items_equal(const ReadItem& a, const ReadItem& b) {
          a.unmerged_versions == b.unmerged_versions;
 }
 
-/// Transport-framing bytes the codec carries beyond wire_size(): op_id,
-/// blocked_us and the per-item measurement fields (frame length prefix is
-/// accounted separately). Independent model for the charged-bytes test.
+/// The per-item measurement counters, each a varint.
+std::size_t item_framing_bytes(const ReadItem& it) {
+  return leb128_bytes(it.fresher_versions) + leb128_bytes(it.unmerged_versions);
+}
+
+std::size_t items_framing_bytes(const std::vector<ReadItem>& items) {
+  std::size_t n = 0;
+  for (const ReadItem& it : items) n += item_framing_bytes(it);
+  return n;
+}
+
+/// Transport-framing bytes the codec carries in a body beyond wire_size():
+/// op_id (varint), blocked_us (zigzag varint) and the per-item measurement
+/// counters (varints); the frame length prefix is accounted separately.
+/// Independent model for the charged-bytes test.
 std::size_t framing_bytes(const Message& m) {
   switch (m.index()) {
     case 0:  // GetReq: op_id
+      return leb128_bytes(std::get<GetReq>(m).op_id);
     case 1:  // PutReq: op_id
+      return leb128_bytes(std::get<PutReq>(m).op_id);
     case 2:  // RoTxReq: op_id
-      return 8;
-    case 3:  // GetReply: blocked_us + op_id + item measurement fields
-      return 8 + 8 + 8;
-    case 4:  // PutReply: blocked_us + op_id
-      return 8 + 8;
-    case 5:  // RoTxReply: blocked_us + op_id + per-item measurement fields
-      return 8 + 8 + 8 * std::get<RoTxReply>(m).items.size();
-    case 10:  // SliceReply: blocked_us + per-item measurement fields
-      return 8 + 8 * std::get<SliceReply>(m).items.size();
+      return leb128_bytes(std::get<RoTxReq>(m).op_id);
+    case 3: {  // GetReply: item measurement fields + blocked_us + op_id
+      const auto& r = std::get<GetReply>(m);
+      return item_framing_bytes(r.item) + zigzag_bytes(r.blocked_us) +
+             leb128_bytes(r.op_id);
+    }
+    case 4: {  // PutReply: blocked_us + op_id
+      const auto& r = std::get<PutReply>(m);
+      return zigzag_bytes(r.blocked_us) + leb128_bytes(r.op_id);
+    }
+    case 5: {  // RoTxReply: per-item measurement fields + blocked_us + op_id
+      const auto& r = std::get<RoTxReply>(m);
+      return items_framing_bytes(r.items) + zigzag_bytes(r.blocked_us) +
+             leb128_bytes(r.op_id);
+    }
+    case 10: {  // SliceReply: per-item measurement fields + blocked_us
+      const auto& r = std::get<SliceReply>(m);
+      return items_framing_bytes(r.items) + zigzag_bytes(r.blocked_us);
+    }
     case 18:  // Overloaded: op_id
-      return 8;
+      return leb128_bytes(std::get<Overloaded>(m).op_id);
     default:
       return 0;
   }
 }
 
-/// Encoded body must be exactly wire_size() + documented transport framing.
+/// Encoded body must be exactly wire_size() + documented transport framing,
+/// and the frame exactly that plus the varint length prefix.
 void expect_honest_accounting(const Message& m) {
   std::vector<std::uint8_t> buf;
   const std::size_t body = encode(m, buf);
   EXPECT_EQ(body, wire_size(m) + framing_bytes(m)) << message_name(m);
+  EXPECT_EQ(buf.size(), body + leb128_bytes(body)) << message_name(m);
+}
+
+/// A frame around a hand-built body.
+std::vector<std::uint8_t> frame_with_body(
+    const std::vector<std::uint8_t>& body) {
+  std::vector<std::uint8_t> buf = leb128(body.size());
+  buf.insert(buf.end(), body.begin(), body.end());
+  return buf;
 }
 
 TEST(Codec, GetReqRoundTrip) {
@@ -388,7 +444,7 @@ TEST(Codec, PartialFrameNeedsMore) {
 TEST(Codec, RejectsWrongWireVersion) {
   std::vector<std::uint8_t> buf;
   encode(Message{Heartbeat{0, 1}}, buf);
-  buf[kFrameHeaderBytes] = kWireVersion + 1;
+  buf[1] = kWireVersion + 1;  // after the one-byte prefix
   const DecodeResult res = decode_frame(buf.data(), buf.size());
   EXPECT_EQ(res.status, DecodeResult::Status::kError);
   EXPECT_NE(res.error.find("version"), std::string::npos);
@@ -397,27 +453,49 @@ TEST(Codec, RejectsWrongWireVersion) {
 TEST(Codec, RejectsUnknownType) {
   std::vector<std::uint8_t> buf;
   encode(Message{Heartbeat{0, 1}}, buf);
-  buf[kFrameHeaderBytes + 1] = 180;  // not a WireType
+  buf[2] = 180;  // not a WireType
   const DecodeResult res = decode_frame(buf.data(), buf.size());
   EXPECT_EQ(res.status, DecodeResult::Status::kError);
 }
 
 TEST(Codec, RejectsOversizedFrameLength) {
-  std::vector<std::uint8_t> buf(kFrameHeaderBytes, 0xff);
+  // kMaxFrameBytes + 1 = 2^24 + 1: a minimal four-byte prefix, rejected
+  // before any of the body arrives.
+  const std::vector<std::uint8_t> buf = {0x81, 0x80, 0x80, 0x08};
   const DecodeResult res = decode_frame(buf.data(), buf.size());
   EXPECT_EQ(res.status, DecodeResult::Status::kError);
+  EXPECT_NE(res.error.find("exceeds limit"), std::string::npos);
+  EXPECT_EQ(cut_frame(buf.data(), buf.size()).status, FrameStatus::kError);
+}
+
+TEST(Codec, RejectsMalformedFramePrefix) {
+  const std::vector<std::vector<std::uint8_t>> bad = {
+      {0xff, 0xff, 0xff, 0xff},        // continuation on the 4th byte
+      {0x80, 0x80, 0x80, 0x80, 0x01},  // over-long even with a 5th byte
+      {0x80, 0x00},                    // 0 in two bytes: non-minimal
+      {0x85, 0x80, 0x00},              // 5 in three bytes: non-minimal
+      {0x81, 0x80, 0x80, 0x00},        // 1 in four bytes: non-minimal
+  };
+  for (const auto& buf : bad) {
+    const DecodeResult res = decode_frame(buf.data(), buf.size());
+    EXPECT_EQ(res.status, DecodeResult::Status::kError) << buf.size();
+    EXPECT_NE(res.error.find("prefix"), std::string::npos) << res.error;
+    EXPECT_EQ(cut_frame(buf.data(), buf.size()).status, FrameStatus::kError);
+  }
+  // An incomplete prefix is not an error: more bytes may complete it.
+  const std::vector<std::uint8_t> partial = {0x80, 0x80, 0x80};
+  EXPECT_EQ(cut_frame(partial.data(), partial.size()).status,
+            FrameStatus::kNeedMore);
 }
 
 TEST(Codec, RejectsTrailingGarbageInsideFrame) {
-  std::vector<std::uint8_t> buf;
-  encode(Message{Heartbeat{0, 1}}, buf);
-  // Grow the body by one byte and patch the length prefix to cover it: a
-  // well-framed but overlong body must be rejected, not silently accepted.
-  buf.push_back(0xab);
-  const std::size_t body = buf.size() - kFrameHeaderBytes;
-  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-    buf[i] = static_cast<std::uint8_t>(body >> (8 * i));
-  }
+  std::vector<std::uint8_t> body;
+  encode(Message{Heartbeat{0, 1}}, body);
+  // Grow the body by one byte and re-prefix it: a well-framed but overlong
+  // body must be rejected, not silently accepted.
+  body.erase(body.begin());  // the one-byte prefix
+  body.push_back(0xab);
+  const std::vector<std::uint8_t> buf = frame_with_body(body);
   const DecodeResult res = decode_frame(buf.data(), buf.size());
   EXPECT_EQ(res.status, DecodeResult::Status::kError);
   EXPECT_NE(res.error.find("trailing"), std::string::npos);
@@ -433,11 +511,7 @@ TEST(Codec, RejectsImplausibleKeyCount) {
   body.push_back(0x00);
   body.push_back(0x00);
   body.push_back(0x80);  // ... = 2^31
-  std::vector<std::uint8_t> buf;
-  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-    buf.push_back(static_cast<std::uint8_t>(body.size() >> (8 * i)));
-  }
-  buf.insert(buf.end(), body.begin(), body.end());
+  const std::vector<std::uint8_t> buf = frame_with_body(body);
   const DecodeResult res = decode_frame(buf.data(), buf.size());
   EXPECT_EQ(res.status, DecodeResult::Status::kError);
 }
@@ -470,12 +544,11 @@ TEST(Codec, BatchRoundTripsRoutedMessages) {
   sr.from = NodeId{0, 1};
   sr.vv = vv3();
   batch.items.push_back(
-      RoutedMessage{NodeId{0, 1}, NodeId{0, 0}, Message{sr}});
+      RoutedMessage{NodeId{0, 1}, NodeId{2, 300}, Message{sr}});
 
   std::vector<std::uint8_t> buf;
-  BatchEncodeStats stats;
-  const std::size_t body = encode(batch, buf, &stats);
-  EXPECT_EQ(buf.size(), body + kFrameHeaderBytes);
+  const std::size_t body = encode(batch, buf);
+  EXPECT_EQ(buf.size(), body + leb128_bytes(body));
 
   const DecodeResult res = decode_frame(buf.data(), buf.size());
   ASSERT_EQ(res.status, DecodeResult::Status::kOk) << res.error;
@@ -497,26 +570,30 @@ TEST(Codec, BatchAccountingSplitsProtocolFromOverhead) {
   // overhead must be exactly the documented envelope model.
   BatchFrame batch;
   std::size_t protocol = 0;
+  // Header: version + type + sender dc + receiver dc + count.
+  std::size_t envelope = 1 + 1 + leb128_bytes(0) + leb128_bytes(1) +
+                         leb128_bytes(5);
   for (int i = 0; i < 5; ++i) {
     Replicate repl;
     repl.version.key = K("batch:acct:" + std::to_string(i));
-    repl.version.value = "v";
+    repl.version.value = std::string(static_cast<std::size_t>(60 * i), 'v');
     repl.version.dv = vv3();
-    protocol += wire_size(Message{repl});
+    const std::size_t charged = wire_size(Message{repl});
+    protocol += charged;
+    const PartitionId to_part = static_cast<PartitionId>(100 * i);
     batch.items.push_back(
-        RoutedMessage{NodeId{0, 0}, NodeId{1, 0}, Message{repl}});
+        RoutedMessage{NodeId{0, 0}, NodeId{1, to_part}, Message{repl}});
+    // Replicate carries no uncharged fields: its sub-body is exactly the
+    // charged bytes, so the per-item envelope is partitions + sub-length.
+    envelope += leb128_bytes(0) + leb128_bytes(to_part) + leb128_bytes(charged);
   }
   std::vector<std::uint8_t> buf;
   BatchEncodeStats stats;
   const std::size_t body = encode(batch, buf, &stats);
+  EXPECT_EQ(body, protocol + envelope);
   EXPECT_EQ(stats.protocol_bytes, protocol);
-  EXPECT_EQ(stats.overhead_bytes,
-            kBatchHeaderOverheadBytes +
-                batch.items.size() * kBatchItemOverheadBytes +
-                kFrameHeaderBytes);
-  // Replicate carries no uncharged transport fields, so the split is exact.
-  EXPECT_EQ(body + kFrameHeaderBytes,
-            stats.protocol_bytes + stats.overhead_bytes);
+  EXPECT_EQ(stats.overhead_bytes, envelope + leb128_bytes(body));
+  EXPECT_EQ(buf.size(), stats.protocol_bytes + stats.overhead_bytes);
 }
 
 TEST(Codec, BatchWriterMatchesOneShotEncode) {
@@ -540,24 +617,18 @@ TEST(Codec, BatchWriterMatchesOneShotEncode) {
 
 TEST(Codec, BatchRejectsEmptyNestedAndControlItems) {
   // Hand-build malformed batches: count 0, a nested batch, a NodeHello item.
-  const auto frame_with_body = [](const std::vector<std::uint8_t>& body) {
-    std::vector<std::uint8_t> buf;
-    for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-      buf.push_back(static_cast<std::uint8_t>(body.size() >> (8 * i)));
-    }
-    buf.insert(buf.end(), body.begin(), body.end());
-    return buf;
-  };
   const auto header = [] {
     std::vector<std::uint8_t> body;
     body.push_back(kWireVersion);
     body.push_back(static_cast<std::uint8_t>(WireType::kBatch));
+    body.push_back(0);  // sender dc
+    body.push_back(1);  // receiver dc
     return body;
   };
 
   {  // count = 0
     auto body = header();
-    body.insert(body.end(), 4, 0);
+    body.push_back(0);
     const auto buf = frame_with_body(body);
     const DecodeResult res = decode_frame(buf.data(), buf.size());
     EXPECT_EQ(res.status, DecodeResult::Status::kError);
@@ -565,15 +636,13 @@ TEST(Codec, BatchRejectsEmptyNestedAndControlItems) {
   }
   {  // one item whose sub-body is a control frame (NodeHello)
     auto body = header();
-    body.push_back(1);  // count LE
-    body.insert(body.end(), 3, 0);
-    body.insert(body.end(), 16, 0);  // from/to envelope
+    body.push_back(1);              // count
+    body.insert(body.end(), 2, 0);  // from/to partitions
     std::vector<std::uint8_t> sub;
     sub.push_back(kWireVersion);
     sub.push_back(static_cast<std::uint8_t>(WireType::kNodeHello));
     sub.insert(sub.end(), 8, 0);  // NodeId
     body.push_back(static_cast<std::uint8_t>(sub.size()));
-    body.insert(body.end(), 3, 0);
     body.insert(body.end(), sub.begin(), sub.end());
     const auto buf = frame_with_body(body);
     const DecodeResult res = decode_frame(buf.data(), buf.size());
@@ -583,16 +652,27 @@ TEST(Codec, BatchRejectsEmptyNestedAndControlItems) {
   {  // nested batch inside a batch
     auto body = header();
     body.push_back(1);
-    body.insert(body.end(), 3, 0);
-    body.insert(body.end(), 16, 0);
+    body.insert(body.end(), 2, 0);
     std::vector<std::uint8_t> sub = header();  // a batch sub-body
-    sub.insert(sub.end(), 4, 0);
+    sub.push_back(0);
     body.push_back(static_cast<std::uint8_t>(sub.size()));
-    body.insert(body.end(), 3, 0);
     body.insert(body.end(), sub.begin(), sub.end());
     const auto buf = frame_with_body(body);
     const DecodeResult res = decode_frame(buf.data(), buf.size());
     EXPECT_EQ(res.status, DecodeResult::Status::kError);
+  }
+  {  // a non-minimal partition varint inside an item envelope
+    auto body = header();
+    body.push_back(1);
+    // from.part 0 in two bytes, then to.part 0.
+    body.insert(body.end(), {0x80, 0x00, 0x00});
+    std::vector<std::uint8_t> hb;
+    encode(Message{Heartbeat{0, 1}}, hb);
+    body.insert(body.end(), hb.begin(), hb.end());  // prefix = sub-length
+    const auto buf = frame_with_body(body);
+    const DecodeResult res = decode_frame(buf.data(), buf.size());
+    EXPECT_EQ(res.status, DecodeResult::Status::kError);
+    EXPECT_NE(res.error.find("varint"), std::string::npos);
   }
   {  // implausible item count
     auto body = header();
@@ -624,6 +704,269 @@ TEST(Codec, BatchTruncationNeedsMore) {
     EXPECT_EQ(res.status, DecodeResult::Status::kNeedMore)
         << "batch prefix of " << cut << " bytes must not decode";
   }
+}
+
+// ------------------------------------------------------ varint boundaries --
+
+/// A PutReq whose encoded body is exactly `body` bytes (the value's length
+/// field is fixed-width, so the body grows one byte per value byte).
+Message put_with_body(std::size_t body) {
+  PutReq m;
+  m.client = 5;
+  m.key = K("codec:boundary");
+  m.dv = vv3();
+  m.op_id = 1;
+  std::vector<std::uint8_t> buf;
+  const std::size_t base = encode(Message{m}, buf);
+  m.value.assign(body - base, 'x');
+  return Message{std::move(m)};
+}
+
+TEST(Codec, FrameLengthVarintBoundaries) {
+  // Each boundary of the prefix's 7-bit groups, on both sides.
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {127, 1}, {128, 2}, {16'383, 2}, {16'384, 3}};
+  for (const auto& [body, prefix] : cases) {
+    const Message m = put_with_body(body);
+    std::vector<std::uint8_t> buf;
+    ASSERT_EQ(encode(m, buf), body);
+    EXPECT_EQ(buf.size(), body + prefix) << body;
+    const FrameCut cut = cut_frame(buf.data(), buf.size());
+    ASSERT_EQ(cut.status, FrameStatus::kOk) << body;
+    EXPECT_EQ(cut.prefix_bytes, prefix);
+    EXPECT_EQ(cut.frame_bytes, prefix + body);
+    const Message d = round_trip(m);
+    EXPECT_EQ(std::get<PutReq>(d).value, std::get<PutReq>(m).value);
+    expect_honest_accounting(m);
+  }
+}
+
+TEST(Codec, BatchSubLengthVarintBoundaries) {
+  // Sub-lengths on both sides of the one/two and two/three byte boundaries.
+  for (const std::size_t sub : {127u, 128u, 16'383u, 16'384u}) {
+    Replicate repl;
+    repl.version.key = K("codec:sub");
+    repl.version.dv = vv3();
+    repl.version.value.assign(sub - wire_size(Message{repl}), 'y');
+    ASSERT_EQ(wire_size(Message{repl}), sub);
+    BatchFrame batch;
+    batch.items.push_back(
+        RoutedMessage{NodeId{1, 0}, NodeId{0, 1}, Message{repl}});
+    batch.items.push_back(
+        RoutedMessage{NodeId{1, 0}, NodeId{0, 0}, Message{Heartbeat{1, 5}}});
+    std::vector<std::uint8_t> buf;
+    BatchEncodeStats stats;
+    encode(batch, buf, &stats);
+    EXPECT_EQ(buf.size(), stats.protocol_bytes + stats.overhead_bytes);
+    const DecodeResult res = decode_frame(buf.data(), buf.size());
+    ASSERT_EQ(res.status, DecodeResult::Status::kOk) << res.error;
+    const auto& decoded = std::get<BatchFrame>(res.frame);
+    ASSERT_EQ(decoded.items.size(), 2u);
+    EXPECT_EQ(decoded.items[0].to, (NodeId{0, 1}));
+    EXPECT_EQ(std::get<Replicate>(decoded.items[0].msg).version.value,
+              repl.version.value);
+    EXPECT_EQ(std::get<Heartbeat>(decoded.items[1].msg).ts, 5);
+  }
+}
+
+TEST(Codec, OpIdExtremesRoundTrip) {
+  for (const std::uint64_t op_id :
+       {std::uint64_t{0}, std::uint64_t{127}, std::uint64_t{128},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    GetReq m;
+    m.key = K("codec:opid");
+    m.op_id = op_id;
+    EXPECT_EQ(std::get<GetReq>(round_trip(Message{m})).op_id, op_id);
+    expect_honest_accounting(Message{m});
+    Overloaded o;
+    o.op_id = op_id;
+    EXPECT_EQ(std::get<Overloaded>(round_trip(Message{o})).op_id, op_id);
+  }
+  // UINT64_MAX takes all ten LEB128 bytes.
+  GetReq m;
+  m.op_id = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(framing_bytes(Message{m}), 10u);
+}
+
+TEST(Codec, BlockedUsExtremesRoundTrip) {
+  for (const Duration blocked :
+       {Duration{0}, Duration{-1}, Duration{-64}, Duration{64},
+        std::numeric_limits<Duration>::min(),
+        std::numeric_limits<Duration>::max()}) {
+    GetReply g;
+    g.item = sample_item("codec:blocked", "v");
+    g.blocked_us = blocked;
+    EXPECT_EQ(std::get<GetReply>(round_trip(Message{g})).blocked_us, blocked);
+    expect_honest_accounting(Message{g});
+    PutReply p;
+    p.blocked_us = blocked;
+    EXPECT_EQ(std::get<PutReply>(round_trip(Message{p})).blocked_us, blocked);
+    SliceReply s;
+    s.blocked_us = blocked;
+    EXPECT_EQ(std::get<SliceReply>(round_trip(Message{s})).blocked_us,
+              blocked);
+    expect_honest_accounting(Message{s});
+  }
+  // 0 costs one byte; INT64_MIN maps to UINT64_MAX, ten bytes.
+  EXPECT_EQ(zigzag_bytes(0), 1u);
+  EXPECT_EQ(zigzag_bytes(std::numeric_limits<Duration>::min()), 10u);
+}
+
+TEST(Codec, MaxSizeFrameRoundTrips) {
+  const Message m = put_with_body(kMaxFrameBytes);
+  std::vector<std::uint8_t> buf;
+  ASSERT_EQ(encode(m, buf), kMaxFrameBytes);
+  EXPECT_EQ(buf.size(), kMaxFrameBytes + kMaxFramePrefixBytes);
+  // Everything but the last byte is still "need more".
+  EXPECT_EQ(decode_frame(buf.data(), buf.size() - 1).status,
+            DecodeResult::Status::kNeedMore);
+  const DecodeResult res = decode_frame(buf.data(), buf.size());
+  ASSERT_EQ(res.status, DecodeResult::Status::kOk) << res.error;
+  EXPECT_EQ(res.consumed, buf.size());
+  EXPECT_EQ(std::get<PutReq>(std::get<Message>(res.frame)).value.size(),
+            std::get<PutReq>(m).value.size());
+}
+
+// ----------------------------------------------------------- golden bytes --
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  std::string out;
+  char b[3];
+  for (const std::uint8_t v : bytes) {
+    std::snprintf(b, sizeof(b), "%02x", v);
+    out += b;
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> unhex(const std::string& h) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < h.size(); i += 2) {
+    out.push_back(
+        static_cast<std::uint8_t>(std::stoi(h.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+VersionVector vv123() { return VersionVector{1, 2, 3}; }
+
+store::Version golden_version() {
+  store::Version v;
+  v.key = K("k");
+  v.value = "v";
+  v.sr = 2;
+  v.ut = 11;
+  v.dv = vv123();
+  v.opt_origin = true;
+  return v;
+}
+
+ReadItem golden_item() {
+  ReadItem it;
+  it.key = K("k");
+  it.found = true;
+  it.value = "v";
+  it.sr = 1;
+  it.ut = 9;
+  it.dv = vv123();
+  it.fresher_versions = 2;
+  it.unmerged_versions = 130;
+  return it;
+}
+
+TEST(Codec, GoldenV6Frames) {
+  // One pinned frame per message type. A layout change fails here loudly:
+  // update the bytes only together with a kWireVersion bump.
+  ASSERT_EQ(kWireVersion, 6);
+  GetReq get{1, K("k"), vv123(), false, 300};
+  PutReq put{2, K("k"), "v", vv123(), false, 1};
+  RoTxReq rotx{3, {K("a"), K("b")}, VersionVector{}, true, 2};
+  GetReply get_reply{1, golden_item(), -3, 300};
+  PutReply put_reply{2, K("k"), 10, 0, 0, 1};
+  RoTxReply rotx_reply{3, {golden_item()}, vv123(), 64, 2};
+  SliceReq slice{5, NodeId{0, 1}, {K("a")}, vv123(), false};
+  SliceReply slice_reply{5, {}, 1, false};
+  const std::pair<Message, const char*> golden[] = {
+      {Message{get},
+       "290600010000000000000001006b030100000000000000020000000000000003"
+       "0000000000000000ac02"},
+      {Message{put},
+       "2d0601020000000000000001006b010000007603010000000000000002000000"
+       "0000000003000000000000000001"},
+      {Message{rotx}, "170602030000000000000002000000010061010062000102"},
+      {Message{get_reply},
+       "3e0603010000000000000001006b010100000076010000000900000000000000"
+       "0301000000000000000200000000000000030000000000000002820105ac02"},
+      {Message{put_reply},
+       "1b0604020000000000000001006b0a00000000000000000000000001"},
+      {Message{rotx_reply},
+       "5b060503000000000000000100000001006b0101000000760100000009000000"
+       "0000000003010000000000000002000000000000000300000000000000028201"
+       "03010000000000000002000000000000000300000000000000800102"},
+      {Message{SessionClosed{4, "bye"}},
+       "110606040000000000000003000000627965"},
+      {Message{Replicate{golden_version()}},
+       "30060701006b0100000076020000000b00000000000000030100000000000000"
+       "0200000000000000030000000000000001"},
+      {Message{Heartbeat{1, 2}}, "0e0608010000000200000000000000"},
+      {Message{slice},
+       "3306090500000000000000000000000100000001000000010061030100000000"
+       "0000000200000000000000030000000000000000"},
+      {Message{slice_reply}, "10060a0500000000000000000000000002"},
+      {Message{GcReport{NodeId{1, 0}, vv123()}},
+       "23060b0100000000000000030100000000000000020000000000000003000000"
+       "00000000"},
+      {Message{GcVector{vv123()}},
+       "1b060c03010000000000000002000000000000000300000000000000"},
+      {Message{StabReport{NodeId{2, 1}, vv123()}},
+       "23060d0200000001000000030100000000000000020000000000000003000000"
+       "00000000"},
+      {Message{GssBroadcast{vv123()}},
+       "1b060e03010000000000000002000000000000000300000000000000"},
+      {Message{RecoveryReq{NodeId{0, 1}, vv123()}},
+       "23060f0000000001000000030100000000000000020000000000000003000000"
+       "00000000"},
+      {Message{RecoveryVersion{golden_version()}},
+       "30061001006b0100000076020000000b00000000000000030100000000000000"
+       "0200000000000000030000000000000001"},
+      {Message{RecoveryDone{NodeId{0, 1}, vv123()}},
+       "2306110000000001000000030100000000000000020000000000000003000000"
+       "00000000"},
+      {Message{Overloaded{4, 1'000, 7}},
+       "1306120400000000000000e80300000000000007"},
+  };
+  ASSERT_EQ(std::size(golden), std::variant_size_v<Message> - 1);
+  for (const auto& [m, bytes] : golden) {
+    std::vector<std::uint8_t> buf;
+    encode(m, buf);
+    EXPECT_EQ(hex(buf), bytes) << message_name(m);
+    // The pinned bytes decode, and re-encode to themselves.
+    const std::vector<std::uint8_t> pinned = unhex(bytes);
+    const DecodeResult res = decode_frame(pinned.data(), pinned.size());
+    ASSERT_EQ(res.status, DecodeResult::Status::kOk) << res.error;
+    EXPECT_EQ(res.consumed, pinned.size());
+    std::vector<std::uint8_t> again;
+    encode(std::get<Message>(res.frame), again);
+    EXPECT_EQ(again, pinned) << message_name(m);
+  }
+
+  BatchFrame batch;
+  batch.items.push_back(
+      RoutedMessage{NodeId{0, 1}, NodeId{2, 0}, Message{Heartbeat{0, 7}}});
+  batch.items.push_back(
+      RoutedMessage{NodeId{0, 0}, NodeId{2, 200}, Message{GcVector{vv123()}}});
+  std::vector<std::uint8_t> buf;
+  encode(batch, buf);
+  const char* pinned_batch =
+      "3506ca00020201000e060800000000070000000000000000c8011b060c030100"
+      "00000000000002000000000000000300000000000000";
+  EXPECT_EQ(hex(buf), pinned_batch);
+  const std::vector<std::uint8_t> pinned = unhex(pinned_batch);
+  const DecodeResult res = decode_frame(pinned.data(), pinned.size());
+  ASSERT_EQ(res.status, DecodeResult::Status::kOk) << res.error;
+  std::vector<std::uint8_t> again;
+  encode(std::get<BatchFrame>(res.frame), again);
+  EXPECT_EQ(again, pinned);
 }
 
 }  // namespace

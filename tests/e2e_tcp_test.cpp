@@ -347,6 +347,49 @@ TEST(E2eTcp, ChaosOnReplicationLinksReplaysClean) {
   expect_clean_replay(cluster);
 }
 
+/// One Batch frame of two heartbeats, routed from `from` to `to`.
+std::vector<std::uint8_t> heartbeat_batch(NodeId from, NodeId to) {
+  proto::BatchFrame batch;
+  for (Timestamp ts = 1; ts <= 2; ++ts) {
+    batch.items.push_back(proto::RoutedMessage{
+        from, to, proto::Message{proto::Heartbeat{from.dc, ts}}});
+  }
+  std::vector<std::uint8_t> buf;
+  proto::encode(batch, buf);
+  return buf;
+}
+
+TEST(E2eTcp, MislabeledBatchOnGreetedConnectionIsDropped) {
+  // A greeted peer speaks only for its own DC, and only to the host's: a
+  // batch whose header names another sender DC, or a receiver DC that is
+  // not the host's, is dropped whole and counted — never enqueued.
+  Deployment cluster(rt::System::kPocc);
+  const ProcessSpec& dc0 = cluster.layout().processes[0];
+  TcpTransport peer(TcpTransport::Callbacks{}, TcpTransport::Options{});
+  const ConnId conn = peer.connect_peer("127.0.0.1", dc0.port);
+  std::vector<std::uint8_t> hello;
+  proto::encode(proto::NodeHello{NodeId{1, 0}}, hello);
+  peer.set_greeting(conn, std::move(hello));
+  peer.start();
+
+  const std::uint64_t before = cluster.dropped_frames();
+  // Greeted as DC1, claims to send for DC2.
+  ASSERT_TRUE(peer.send(conn, heartbeat_batch(NodeId{2, 0}, NodeId{0, 0})));
+  EXPECT_TRUE(eventually(5'000'000, [&] {
+    return cluster.dropped_frames() == before + 2;
+  })) << "a batch whose sender DC is not the greeting peer's was admitted";
+  // Right sender, but addressed to DC1 at DC0's host.
+  ASSERT_TRUE(peer.send(conn, heartbeat_batch(NodeId{1, 0}, NodeId{1, 1})));
+  EXPECT_TRUE(eventually(5'000'000, [&] {
+    return cluster.dropped_frames() == before + 4;
+  })) << "a batch whose receiver DC is not the host's was admitted";
+  // The connection stays usable for correctly labeled traffic.
+  ASSERT_TRUE(peer.send(conn, heartbeat_batch(NodeId{1, 0}, NodeId{0, 1})));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(cluster.dropped_frames(), before + 4);
+  peer.stop();
+}
+
 TEST(E2eTcp, ResilientSessionsAbsorbDuplicatedClientFrames) {
   // Dup-heavy chaos on the CLIENT links (the one place duplication is
   // legal): the per-client op_id idempotency cache must absorb every

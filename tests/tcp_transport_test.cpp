@@ -2,9 +2,16 @@
 // reconnect with FIFO-preserving buffering, and stats accounting.
 #include "net/tcp_transport.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <pthread.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
 
 #include <atomic>
 #include <chrono>
@@ -98,6 +105,78 @@ TEST(TcpTransport, FramesCrossASocketInOrder) {
   EXPECT_EQ(server.stats().frames_in, 50u);
   EXPECT_EQ(client.stats().frames_out, 50u);
   client.stop();
+  server.stop();
+}
+
+/// Blocking loopback socket with Nagle off, so each write leaves as its own
+/// segment. -1 on failure.
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_all(int fd, const std::uint8_t* p, std::size_t n) {
+  while (n > 0) {
+    const ssize_t k = ::send(fd, p, n, MSG_NOSIGNAL);
+    if (k < 0 && errno == EINTR) continue;
+    if (k <= 0) return false;
+    p += k;
+    n -= static_cast<std::size_t>(k);
+  }
+  return true;
+}
+
+TEST(TcpTransport, FrameStreamSplitAtEveryByteOffsetDecodes) {
+  // The receive path must reassemble frames whatever the segment
+  // boundaries: the stream is written in two pieces split at every byte
+  // offset, including inside the one- and two-byte varint length prefixes.
+  FrameSink server_sink;
+  TcpTransport server(server_sink.callbacks(), TcpTransport::Options{});
+  const std::uint16_t port = server.listen(0);
+  server.start();
+
+  std::vector<std::uint8_t> stream = heartbeat_frame(0, 1);
+  proto::PutReq put;
+  put.key = store::intern_key("split:put");
+  put.value.assign(200, 'p');  // body >= 128: a two-byte prefix
+  put.op_id = 300;
+  proto::encode(proto::Message{put}, stream);
+  const std::vector<std::uint8_t> tail = heartbeat_frame(0, 2);
+  stream.insert(stream.end(), tail.begin(), tail.end());
+
+  const int fd = raw_connect(port);
+  ASSERT_GE(fd, 0);
+  for (std::size_t cut = 1; cut < stream.size(); ++cut) {
+    ASSERT_TRUE(send_all(fd, stream.data(), cut));
+    std::this_thread::sleep_for(200us);  // let the first piece land alone
+    ASSERT_TRUE(send_all(fd, stream.data() + cut, stream.size() - cut));
+  }
+  const std::size_t rounds = stream.size() - 1;
+  ASSERT_TRUE(server_sink.wait_for_frames(3 * rounds));
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const auto first = server_sink.message_at(3 * r);
+    const auto mid = server_sink.message_at(3 * r + 1);
+    const auto last = server_sink.message_at(3 * r + 2);
+    ASSERT_TRUE(first && mid && last) << "round " << r;
+    EXPECT_EQ(std::get<proto::Heartbeat>(*first).ts, 1) << "round " << r;
+    const auto& got = std::get<proto::PutReq>(*mid);
+    EXPECT_EQ(got.value, put.value) << "round " << r;
+    EXPECT_EQ(got.op_id, 300u) << "round " << r;
+    EXPECT_EQ(std::get<proto::Heartbeat>(*last).ts, 2) << "round " << r;
+  }
+  EXPECT_EQ(server.stats().decode_errors, 0u);
+  ::close(fd);
   server.stop();
 }
 

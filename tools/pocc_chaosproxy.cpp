@@ -18,11 +18,14 @@
 // Point the cluster config's peer addresses at the proxy's listen ports and
 // the deployment runs under chaos without a line of server change.
 //
-// Frames (4-byte little-endian length prefix + body, proto/codec.hpp) are
-// cut out of the byte stream and re-emitted whole after their chaos delay —
-// the proxy never splits a frame, so the peer's framing survives everything
-// except the deliberate resets. The plan hash is printed at startup;
-// re-running with the same --seed replays the identical schedule.
+// Frames (varint length prefix + body, proto/codec.hpp) are cut out of the
+// byte stream with the codec's own frame cutter (proto::cut_frame) and
+// re-emitted whole after their chaos delay — the proxy never splits a
+// frame, so the peer's framing survives everything except the deliberate
+// resets. A stream whose length prefix is malformed is corrupt: the proxy
+// closes that connection, as either endpoint's decoder would. The plan hash
+// is printed at startup; re-running with the same --seed replays the
+// identical schedule.
 //
 // Losslessness: a partition window STALLS established streams (frames keep
 // buffering, release waits for the window to close — bounded by the plan's
@@ -57,6 +60,7 @@
 
 #include "common/config.hpp"
 #include "net/chaos.hpp"
+#include "proto/codec.hpp"
 
 namespace {
 
@@ -122,16 +126,19 @@ struct Conn {
 };
 
 /// Cut complete frames off the front of `p.inbuf`, run each through the
-/// chaos link, and queue the survivors for release.
-void ingest(Pipe& p, Timestamp now) {
+/// chaos link, and queue the survivors for release. Returns false when the
+/// stream is corrupt (malformed length prefix).
+bool ingest(Pipe& p, Timestamp now) {
   std::size_t at = 0;
-  while (p.inbuf.size() - at >= 4) {
-    std::size_t body = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      body |= static_cast<std::size_t>(p.inbuf[at + i]) << (8 * i);
+  bool ok = true;
+  while (at < p.inbuf.size()) {
+    const proto::FrameCut cut =
+        proto::cut_frame(p.inbuf.data() + at, p.inbuf.size() - at);
+    if (cut.status != proto::FrameStatus::kOk) {
+      ok = cut.status == proto::FrameStatus::kNeedMore;
+      break;
     }
-    const std::size_t total = 4 + body;
-    if (p.inbuf.size() - at < total) break;
+    const std::size_t total = cut.frame_bytes;
     const net::ChaosVerdict v = p.chaos->on_frame(total, now);
     if (v.reset) p.reset_pending = true;
     std::vector<std::uint8_t> frame(p.inbuf.begin() + at,
@@ -143,6 +150,7 @@ void ingest(Pipe& p, Timestamp now) {
     at += total;
   }
   p.inbuf.erase(p.inbuf.begin(), p.inbuf.begin() + at);
+  return ok;
 }
 
 /// Move due held frames into the write buffer.
@@ -424,7 +432,14 @@ int main(int argc, char** argv) {
           }
         } else {
           p.inbuf.insert(p.inbuf.end(), buf, buf + n);
-          ingest(p, now_us());
+          if (!ingest(p, now_us())) {
+            std::fprintf(stderr,
+                         "chaosproxy: malformed frame prefix on %u->%u, "
+                         "closing\n",
+                         c->route->src_dc, c->route->dst_dc);
+            close_conn(*c);
+            continue;
+          }
         }
       }
       if (pfds[i].revents & POLLOUT) {
