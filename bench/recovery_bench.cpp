@@ -25,7 +25,6 @@
 #include "store/version.hpp"
 #include "vclock/version_vector.hpp"
 #include "wal/partition_wal.hpp"
-#include "wal/wal_format.hpp"
 
 namespace {
 
@@ -64,8 +63,8 @@ void build_log(wal::PartitionWal& wal, std::uint64_t records,
     if (i % 64 == 63) wal.sync();
     if (checkpoint_midway && i == records / 2) {
       wal.sync();
-      const std::uint64_t seq = wal.begin_checkpoint();
-      wal.commit_checkpoint(seq, wal::encode_snapshot(store, vv));
+      const auto seq = wal.begin_checkpoint(store, vv);
+      if (seq.has_value()) wal.commit_checkpoint(*seq);
     }
   }
   wal.sync();

@@ -438,6 +438,13 @@ void TcpNodeHost::register_metrics() {
                    [wal] { return wal->syncs(); });
       r.counter_fn("pocc_wal_synced_bytes_total", part_label,
                    [wal] { return wal->synced_bytes(); });
+      r.counter_fn("pocc_wal_checkpoints_total", part_label,
+                   [wal] { return wal->checkpoints(); },
+                   "Snapshots committed (renamed into place)");
+      r.counter_fn("pocc_wal_checkpoint_failures_total", part_label,
+                   [wal] { return wal->checkpoint_failures(); },
+                   "Checkpoints abandoned on an I/O failure; the older "
+                   "recovery line stays intact");
       // Replay stats are immutable after the constructor's restore pass.
       const auto& rs = replay_stats_[i];
       r.gauge("pocc_wal_replay_log_versions", part_label)

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "common/assert.hpp"
-#include "wal/wal_format.hpp"
 
 namespace pocc::rt {
 
@@ -53,7 +54,16 @@ NodeGroup::NodeGroup(DcId dc, std::vector<PartitionId> parts, Router& router,
     // i mod M — the engine is only ever touched by that worker.
     Worker& w = *workers_[i % workers_.size()];
     slot->worker = &w;
-    if (opt_.wal != nullptr) slot->wal = &opt_.wal->wal_for(parts_[i]);
+    if (opt_.wal != nullptr) {
+      slot->wal = &opt_.wal->wal_for(parts_[i]);
+      if (opt_.registry != nullptr) {
+        slot->cut_us = opt_.registry->histogram(
+            "pocc_wal_checkpoint_cut_us",
+            {{"part", std::to_string(parts_[i])}},
+            "Owner-thread stall of a checkpoint: sync, rotate and stream the "
+            "consistent cut to disk (us)");
+      }
+    }
     w.slots.push_back(slot.get());
     by_part_[parts_[i]] = slot.get();
     slots_.push_back(std::move(slot));
@@ -109,15 +119,17 @@ void NodeGroup::Slot::flush_durability() {
     }
   }
   if (wal->wants_checkpoint()) {
-    // Step 1 on the owner thread: rotate, then serialize the cut — between
-    // the two nothing appends (same thread), so the snapshot is exactly
-    // "everything in segments < seq". Step 2 (durable write + prune) runs
-    // on the manager's flusher thread.
-    const std::uint64_t seq = wal->begin_checkpoint();
-    group.opt_.wal->submit_checkpoint(
-        wal, seq,
-        wal::encode_snapshot(engine->partition_store(),
-                             engine->version_vector()));
+    // Step 1 on the owner thread: rotate, then stream the cut into
+    // snap-<seq>.tmp — between the two nothing appends (same thread), so
+    // the snapshot is exactly "everything in segments < seq". Step 2
+    // (fsync + rename + prune) runs on the manager's flusher thread.
+    const Timestamp t0 = steady_now_us();
+    const std::optional<std::uint64_t> seq = wal->begin_checkpoint(
+        engine->partition_store(), engine->version_vector());
+    if (cut_us != nullptr) {
+      cut_us->record(static_cast<std::int64_t>(steady_now_us() - t0));
+    }
+    if (seq.has_value()) group.opt_.wal->submit_checkpoint(wal, *seq);
   }
 }
 

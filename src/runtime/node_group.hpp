@@ -95,8 +95,10 @@ class NodeGroup {
     std::function<void(std::uint32_t)> wake;
     /// When set, each worker registers one shard of the server-side
     /// `pocc_server_op_us{op=get|put|ro_tx}` latency histograms and times
-    /// client-visible requests around handle_message (the engine seam).
-    /// Must outlive the group. nullptr = no op-latency accounting.
+    /// client-visible requests around handle_message (the engine seam);
+    /// with a WAL, each partition also times its checkpoint cuts into
+    /// `pocc_wal_checkpoint_cut_us{part}`. Must outlive the group.
+    /// nullptr = no op-latency accounting.
     stats::Registry* registry = nullptr;
   };
 
@@ -194,7 +196,8 @@ class NodeGroup {
                                 wal->wants_checkpoint());
     }
     /// Owner thread, unlocked: sync the WAL, release held outputs in
-    /// order, and hand a due checkpoint to the background flusher.
+    /// order, and run a due checkpoint's cut before handing its commit to
+    /// the background flusher.
     void flush_durability();
 
     /// An output produced while the WAL tail was unsynced, parked until
@@ -212,6 +215,8 @@ class NodeGroup {
     Worker* worker = nullptr;
     std::unique_ptr<server::ReplicaBase> engine;
     wal::PartitionWal* wal = nullptr;  // owned by Options::wal's manager
+    // Checkpoint-cut stall shard (nullptr without Options::registry).
+    stats::HistogramCell* cut_us = nullptr;
     std::vector<HeldOutput> held;
   };
 

@@ -1,6 +1,7 @@
 #include "wal/partition_wal.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -64,14 +65,23 @@ std::vector<std::uint64_t> list_seqs(const std::string& dir,
   return seqs;
 }
 
+/// One read(2), retried on EINTR; 0 at end of file or on error.
+std::size_t read_some(int fd, std::uint8_t* buf, std::size_t len) {
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, len);
+    if (n >= 0) return static_cast<std::size_t>(n);
+    if (errno != EINTR) return 0;
+  }
+}
+
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::vector<std::uint8_t> data;
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return data;
   for (;;) {
     std::uint8_t chunk[64 * 1024];
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) break;
+    const std::size_t n = read_some(fd, chunk, sizeof(chunk));
+    if (n == 0) break;
     data.insert(data.end(), chunk, chunk + n);
   }
   ::close(fd);
@@ -91,6 +101,19 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
   return true;
 }
 
+/// pwrite(2) `v` little-endian at offset `at`, retried on EINTR.
+bool pwrite_le32(int fd, std::uint32_t v, off_t at) {
+  std::uint8_t le[4];
+  for (std::size_t i = 0; i < sizeof(le); ++i) {
+    le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  for (;;) {
+    const ssize_t n = ::pwrite(fd, le, sizeof(le), at);
+    if (n == static_cast<ssize_t>(sizeof(le))) return true;
+    if (n >= 0 || errno != EINTR) return false;
+  }
+}
+
 /// fsync the directory so renames/creates within it are durable.
 void sync_dir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
@@ -98,6 +121,35 @@ void sync_dir(const std::string& dir) {
     ::fsync(fd);
     ::close(fd);
   }
+}
+
+/// Streams one snapshot file into the callbacks: validated whole first,
+/// applied only then. False (nothing delivered) when the file is missing or
+/// fails validation.
+bool replay_snapshot(
+    const std::string& path, std::uint64_t* versions,
+    const std::function<void(const store::Version&)>& on_version,
+    const std::function<void(const VersionVector&)>& on_vv) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st {};
+  const ChunkSource src = [fd](std::uint8_t* buf, std::size_t len) {
+    return read_some(fd, buf, len);
+  };
+  bool ok = ::fstat(fd, &st) == 0 &&
+            validate_snapshot(src, static_cast<std::uint64_t>(st.st_size));
+  if (ok) {
+    POCC_ASSERT(::lseek(fd, 0, SEEK_SET) == 0);
+    const auto count = apply_snapshot(
+        src, static_cast<std::uint64_t>(st.st_size), on_version, on_vv);
+    // Pass 1 accepted these exact bytes; a mismatch now means the file
+    // changed under a replay that has already delivered versions.
+    POCC_ASSERT_MSG(count.has_value(),
+                    "snapshot changed between its validation and apply passes");
+    *versions = *count;
+  }
+  ::close(fd);
+  return ok;
 }
 
 }  // namespace
@@ -182,13 +234,11 @@ PartitionWal::ReplayStats PartitionWal::replay(
   std::uint64_t replay_from = 0;
   auto snaps = list_seqs(dir_, "snap", ".snap");
   for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
-    const auto data = read_file(dir_ + "/" + snapshot_name(*it));
-    const auto snap = decode_snapshot(data.data(), data.size());
-    if (!snap.has_value()) continue;
-    for (const store::Version& v : snap->versions) on_version(v);
-    on_vv(snap->vv);
+    if (!replay_snapshot(dir_ + "/" + snapshot_name(*it),
+                         &stats.snapshot_versions, on_version, on_vv)) {
+      continue;
+    }
     stats.snapshot_loaded = true;
-    stats.snapshot_versions = snap->versions.size();
     replay_from = *it;
     break;
   }
@@ -215,29 +265,48 @@ PartitionWal::ReplayStats PartitionWal::replay(
   return stats;
 }
 
-std::uint64_t PartitionWal::begin_checkpoint() {
+std::optional<std::uint64_t> PartitionWal::begin_checkpoint(
+    const store::PartitionStore& store, const VersionVector& vv) {
   sync();
   ::close(fd_);
   ++seq_;
-  checkpoint_pending_ = true;
+  checkpoint_pending_.store(true, std::memory_order_relaxed);
   open_active_segment(/*truncate_torn=*/false);
-  return seq_;
-}
 
-bool PartitionWal::commit_checkpoint(std::uint64_t seq,
-                                     const std::vector<std::uint8_t>& body) {
-  const std::string tmp = dir_ + "/" + snapshot_name(seq) + ".tmp";
-  const std::string final_path = dir_ + "/" + snapshot_name(seq);
+  const std::string tmp = dir_ + "/" + snapshot_name(seq_) + ".tmp";
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  bool ok = fd >= 0 && write_all(fd, body.data(), body.size()) &&
-            ::fsync(fd) == 0;
-  if (fd >= 0) ::close(fd);
-  ok = ok && ::rename(tmp.c_str(), final_path.c_str()) == 0;
-  checkpoint_pending_ = false;
+  bool ok = fd >= 0;
+  if (ok) {
+    const auto crc = stream_snapshot(
+        store, vv, [fd](const std::uint8_t* data, std::size_t len) {
+          return write_all(fd, data, len);
+        });
+    ok = crc.has_value() && pwrite_le32(fd, *crc, kSnapshotCrcOffset);
+    ::close(fd);
+  }
   if (!ok) {
     std::error_code ec;
     fs::remove(tmp, ec);
+    ++checkpoint_failures_;
+    checkpoint_pending_.store(false, std::memory_order_release);
+    return std::nullopt;
+  }
+  return seq_;
+}
+
+bool PartitionWal::commit_checkpoint(std::uint64_t seq) {
+  const std::string tmp = dir_ + "/" + snapshot_name(seq) + ".tmp";
+  const std::string final_path = dir_ + "/" + snapshot_name(seq);
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CLOEXEC);
+  bool ok = fd >= 0 && ::fsync(fd) == 0;
+  if (fd >= 0) ::close(fd);
+  ok = ok && ::rename(tmp.c_str(), final_path.c_str()) == 0;
+  if (!ok) {
+    std::error_code ec;
+    fs::remove(tmp, ec);
+    ++checkpoint_failures_;
+    checkpoint_pending_.store(false, std::memory_order_release);
     return false;
   }
   sync_dir(dir_);
@@ -255,6 +324,8 @@ bool PartitionWal::commit_checkpoint(std::uint64_t seq,
     if (s < keep_floor) fs::remove(dir_ + "/" + segment_name(s), ec);
   }
   sync_dir(dir_);
+  ++checkpoints_;
+  checkpoint_pending_.store(false, std::memory_order_release);
   return true;
 }
 

@@ -13,20 +13,26 @@
 // unsynced suffix, and nothing externally visible depended on it.
 //
 // Checkpoint path: when the active segment outgrows the threshold the owner
-// thread serializes a consistent cut (begin_checkpoint rotates to a fresh
-// segment and names the cut), and a background thread makes it durable
-// (commit_checkpoint: tmp + fsync + rename + directory fsync) and prunes
-// segments/snapshots the new snapshot obsoletes. The previous snapshot and
-// its segment suffix are retained until a *newer* snapshot commits, so a
-// corrupt snapshot file always leaves a valid older recovery line.
+// thread syncs the tail, rotates to a fresh segment and streams the
+// consistent cut straight into snap-<seq>.tmp through one fixed chunk
+// buffer (begin_checkpoint) — memory stays flat however large the store.
+// A background thread then makes it durable (commit_checkpoint: fsync +
+// rename + directory fsync) and prunes segments/snapshots the new snapshot
+// obsoletes. The previous snapshot and its segment suffix are retained until
+// a *newer* snapshot commits, so a corrupt snapshot file always leaves a
+// valid older recovery line; a failed write at either step removes the tmp
+// file and leaves that line intact.
 //
-// Recovery (replay): newest valid snapshot, then every segment >= its seq in
+// Recovery (replay): newest valid snapshot — validated whole in a first
+// streamed pass, applied in a second — then every segment >= its seq in
 // order; the newest segment's torn tail — an interrupted group commit — is
 // truncated to the last complete record at open time.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +41,10 @@
 #include "stats/relaxed_counter.hpp"
 #include "store/version.hpp"
 #include "vclock/version_vector.hpp"
+
+namespace pocc::store {
+class PartitionStore;
+}  // namespace pocc::store
 
 namespace pocc::wal {
 
@@ -83,23 +93,30 @@ class PartitionWal final : public server::DurabilityLog {
   ReplayStats replay(const std::function<void(const store::Version&)>& on_version,
                      const std::function<void(const VersionVector&)>& on_vv);
 
-  /// True when the active segment crossed the checkpoint threshold.
+  /// True when the active segment crossed the checkpoint threshold and no
+  /// checkpoint is in flight. Acquire pairs with commit_checkpoint's
+  /// release: the flusher's file work happens-before the next checkpoint.
   [[nodiscard]] bool wants_checkpoint() const {
-    return opt_.checkpoint_bytes > 0 && !checkpoint_pending_ &&
+    return opt_.checkpoint_bytes > 0 &&
+           !checkpoint_pending_.load(std::memory_order_acquire) &&
            active_segment_bytes_ >= opt_.checkpoint_bytes;
   }
 
   /// Owner thread, step 1: sync the tail, rotate to a fresh segment and
-  /// return the sequence number the snapshot will cover (recovery replays
-  /// segments >= it). The caller serializes the snapshot body *at this
-  /// moment* — the cut is exactly "everything in segments < seq".
-  std::uint64_t begin_checkpoint();
+  /// stream the cut of `store` + `vv` into snap-<seq>.tmp, where seq is the
+  /// new segment's number (recovery replays segments >= it). Nothing can
+  /// append between the rotation and the stream (same thread), so the cut
+  /// is exactly "everything in segments < seq". Returns seq, or nullopt on
+  /// a write failure: the tmp file is removed, the failure counted and the
+  /// older recovery line left intact.
+  std::optional<std::uint64_t> begin_checkpoint(
+      const store::PartitionStore& store, const VersionVector& vv);
 
-  /// Any thread, step 2: durably write `body` as snap-<seq> and prune what
-  /// it obsoletes. Returns false on I/O failure (the old recovery line is
-  /// left intact). Clears the pending flag armed by begin_checkpoint().
-  bool commit_checkpoint(std::uint64_t seq,
-                         const std::vector<std::uint8_t>& body);
+  /// Any thread, step 2: fsync snap-<seq>.tmp, rename it to snap-<seq> and
+  /// prune what it obsoletes. Returns false on I/O failure (tmp removed, the
+  /// old recovery line left intact). Clears the pending flag armed by
+  /// begin_checkpoint().
+  bool commit_checkpoint(std::uint64_t seq);
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
   [[nodiscard]] std::uint64_t active_segment_seq() const { return seq_; }
@@ -108,6 +125,10 @@ class PartitionWal final : public server::DurabilityLog {
   }
   [[nodiscard]] std::uint64_t syncs() const { return syncs_; }
   [[nodiscard]] std::uint64_t synced_bytes() const { return synced_bytes_; }
+  [[nodiscard]] std::uint64_t checkpoints() const { return checkpoints_; }
+  [[nodiscard]] std::uint64_t checkpoint_failures() const {
+    return checkpoint_failures_;
+  }
 
  private:
   void open_active_segment(bool truncate_torn);
@@ -118,10 +139,14 @@ class PartitionWal final : public server::DurabilityLog {
   std::uint64_t seq_ = 1;  // active segment sequence number
   std::uint64_t active_segment_bytes_ = 0;
   std::vector<std::uint8_t> buf_;  // appended, not yet written+synced
-  bool checkpoint_pending_ = false;
+  // Set by the owner in begin_checkpoint, cleared by whichever thread
+  // finishes the checkpoint (the flusher, in a running deployment).
+  std::atomic<bool> checkpoint_pending_{false};
   // Relaxed so a live /metrics scrape may read them off the owner thread.
   stats::RelaxedU64 syncs_;
   stats::RelaxedU64 synced_bytes_;
+  stats::RelaxedU64 checkpoints_;          // committed
+  stats::RelaxedU64 checkpoint_failures_;  // at either step
   std::uint64_t replay_torn_bytes_ = 0;
 };
 

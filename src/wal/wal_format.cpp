@@ -1,7 +1,9 @@
 #include "wal/wal_format.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <string_view>
 
 #include "common/assert.hpp"
@@ -13,6 +15,8 @@ namespace pocc::wal {
 namespace {
 
 constexpr char kSnapshotMagic[8] = {'P', 'O', 'C', 'C', 'S', 'N', 'P', '1'};
+// Magic, body length, body CRC.
+constexpr std::size_t kSnapshotHeaderBytes = kSnapshotCrcOffset + 4;
 
 // Minimal little-endian writer/reader. The proto codec's equivalents are
 // file-local to codec.cpp on purpose (different framing, different charging
@@ -56,13 +60,47 @@ void put_version(std::vector<std::uint8_t>& out, const store::Version& v) {
   put_u8(out, v.opt_origin ? 1 : 0);
 }
 
+std::size_t vv_size(const VersionVector& vv) {
+  return 1 + static_cast<std::size_t>(vv.size()) * 8;
+}
+
+/// Bytes put_version(v) appends: the snapshot writer's sizing pass.
+std::size_t version_size(const store::Version& v) {
+  return 2 + store::KeySpace::global().name_size(v.key) + 4 + v.value.size() +
+         4 + 8 + vv_size(v.dv) + 1;
+}
+
+/// Little-endian field reader over either a whole in-memory input (record
+/// payloads, CRC-checked up front by scan_records) or an input streamed
+/// from a ChunkSource through a caller's buffer (snapshots, which track the
+/// CRC-32 of the bytes taken since the last reset_crc()).
 class Reader {
  public:
   Reader(const std::uint8_t* p, std::size_t n) : p_(p), end_(p + n) {}
+  Reader(const ChunkSource& src, std::uint64_t len,
+         std::vector<std::uint8_t>& buf)
+      : src_(&src), buf_(&buf), unread_(len) {}
 
   [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] std::size_t remaining() const {
-    return static_cast<std::size_t>(end_ - p_);
+  [[nodiscard]] std::uint64_t remaining() const {
+    return static_cast<std::uint64_t>(end_ - p_) + unread_;
+  }
+  void reset_crc() { crc_ = crc32_init(); }
+  [[nodiscard]] std::uint32_t crc() const { return crc32_final(crc_); }
+
+  bool take(void* dst, std::size_t n) {
+    auto* d = static_cast<std::uint8_t*>(dst);
+    while (ok_ && n > 0) {
+      if (p_ == end_ && !refill()) return fail();
+      const std::size_t k =
+          std::min(n, static_cast<std::size_t>(end_ - p_));
+      std::memcpy(d, p_, k);
+      if (src_ != nullptr) crc_ = crc32_update(crc_, p_, k);
+      d += k;
+      p_ += k;
+      n -= k;
+    }
+    return ok_;
   }
 
   std::uint8_t u8() { return get_le<std::uint8_t>(); }
@@ -84,23 +122,23 @@ class Reader {
     return v;
   }
 
-  bool version(store::Version* out) {
+  /// put_version's fields. The key comes back as its string in `key` and
+  /// out->key is left alone: interning is the caller's call, since a
+  /// validation pass must not grow the key space.
+  bool version(std::string* key, store::Version* out) {
     const std::uint16_t key_len = u16();
     if (!ok_ || remaining() < key_len) return fail();
-    const auto* key_bytes = reinterpret_cast<const char*>(p_);
-    p_ += key_len;
+    key->resize(key_len);
+    if (!take(key->data(), key_len)) return false;
     const std::uint32_t value_len = u32();
     if (!ok_ || remaining() < value_len) return fail();
-    const auto* value_bytes = reinterpret_cast<const char*>(p_);
-    p_ += value_len;
+    out->value.resize(value_len);
+    if (!take(out->value.data(), value_len)) return false;
     out->sr = u32();
     out->ut = static_cast<Timestamp>(u64());
     out->dv = vv();
     const std::uint8_t opt = u8();
     if (!ok_ || out->dv.size() == 0) return fail();
-    out->key = store::KeySpace::global().intern(
-        std::string_view(key_bytes, key_len));
-    out->value.assign(value_bytes, value_len);
     out->opt_origin = opt != 0;
     return true;
   }
@@ -111,30 +149,52 @@ class Reader {
     return false;
   }
 
+  bool refill() {
+    if (src_ == nullptr || unread_ == 0) return false;
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(buf_->size(), unread_));
+    const std::size_t got = (*src_)(buf_->data(), want);
+    if (got == 0) return false;
+    unread_ -= got;
+    p_ = buf_->data();
+    end_ = p_ + got;
+    return true;
+  }
+
   template <typename T>
   T get_le() {
-    if (remaining() < sizeof(T)) {
-      ok_ = false;
-      return T{};
-    }
+    std::uint8_t b[sizeof(T)];
+    if (!take(b, sizeof(T))) return T{};
     T v{};
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<std::uint64_t>(p_[i]) << (8 * i)));
+      v = static_cast<T>(v | (static_cast<std::uint64_t>(b[i]) << (8 * i)));
     }
-    p_ += sizeof(T);
     return v;
   }
 
-  const std::uint8_t* p_;
-  const std::uint8_t* end_;
+  const std::uint8_t* p_ = nullptr;
+  const std::uint8_t* end_ = nullptr;
+  const ChunkSource* src_ = nullptr;    // streamed inputs only
+  std::vector<std::uint8_t>* buf_ = nullptr;
+  std::uint64_t unread_ = 0;            // streamed bytes not yet pulled
+  std::uint32_t crc_ = crc32_init();
   bool ok_ = true;
 };
 
-void frame_payload(std::vector<std::uint8_t>& out,
-                   const std::vector<std::uint8_t>& payload) {
-  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
-  put_le<std::uint32_t>(out, crc32(payload.data(), payload.size()));
-  put_bytes(out, payload.data(), payload.size());
+/// Appends one framed record: reserves the 8-byte frame header, lets `fill`
+/// append the payload in place, then patches length and CRC over it — no
+/// temporary payload vector on the logging path.
+template <typename Fill>
+void append_framed(std::vector<std::uint8_t>& out, Fill&& fill) {
+  const std::size_t start = out.size();
+  out.resize(start + 8);
+  fill();
+  const std::size_t len = out.size() - start - 8;
+  const std::uint32_t crc = crc32(out.data() + start + 8, len);
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[start + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    out[start + 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
 }
 
 /// Decode one payload (kind + fields). False on any malformation.
@@ -143,10 +203,13 @@ bool decode_payload(const std::uint8_t* data, std::size_t len, Record* out) {
   const std::uint8_t kind = r.u8();
   if (!r.ok()) return false;
   switch (static_cast<RecordKind>(kind)) {
-    case RecordKind::kVersion:
+    case RecordKind::kVersion: {
       out->kind = RecordKind::kVersion;
-      if (!r.version(&out->version)) return false;
+      std::string key;
+      if (!r.version(&key, &out->version)) return false;
+      out->version.key = store::KeySpace::global().intern(key);
       break;
+    }
     case RecordKind::kVv:
       out->kind = RecordKind::kVv;
       out->vv = r.vv();
@@ -158,24 +221,59 @@ bool decode_payload(const std::uint8_t* data, std::size_t len, Record* out) {
   return r.remaining() == 0;
 }
 
+/// Both replay passes over a streamed snapshot image: with `on_version`
+/// null it only validates; otherwise it interns and delivers each version
+/// as it is decoded. Returns the version count; the VV lands in `vv_out`.
+std::optional<std::uint64_t> walk_snapshot(
+    const ChunkSource& src, std::uint64_t image_len,
+    const std::function<void(const store::Version&)>* on_version,
+    VersionVector* vv_out) {
+  std::vector<std::uint8_t> buf(kSnapshotChunkBytes);
+  Reader r(src, image_len, buf);
+  char magic[sizeof(kSnapshotMagic)];
+  if (!r.take(magic, sizeof(magic)) ||
+      std::memcmp(magic, kSnapshotMagic, sizeof(magic)) != 0) {
+    return std::nullopt;
+  }
+  const std::uint32_t body_len = r.u32();
+  const std::uint32_t stored_crc = r.u32();
+  if (!r.ok() || body_len != r.remaining()) return std::nullopt;
+  r.reset_crc();
+  *vv_out = r.vv();
+  if (!r.ok() || vv_out->size() == 0) return std::nullopt;
+  const std::uint64_t count = r.u64();
+  if (!r.ok()) return std::nullopt;
+  // Each version costs >= ~30 bytes; an implausible count is corruption.
+  if (count > r.remaining() / 30 + 1) return std::nullopt;
+  std::string key;
+  store::Version v;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (!r.version(&key, &v)) return std::nullopt;
+    if (on_version != nullptr) {
+      v.key = store::KeySpace::global().intern(key);
+      (*on_version)(v);
+    }
+  }
+  if (r.remaining() != 0 || r.crc() != stored_crc) return std::nullopt;
+  return count;
+}
+
 }  // namespace
 
 void append_version_record(std::vector<std::uint8_t>& out,
                            const store::Version& v) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(64 + v.value.size());
-  put_u8(payload, static_cast<std::uint8_t>(RecordKind::kVersion));
-  put_version(payload, v);
-  frame_payload(out, payload);
+  append_framed(out, [&] {
+    put_u8(out, static_cast<std::uint8_t>(RecordKind::kVersion));
+    put_version(out, v);
+  });
 }
 
 void append_vv_record(std::vector<std::uint8_t>& out,
                       const VersionVector& vv) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(2 + static_cast<std::size_t>(vv.size()) * 8);
-  put_u8(payload, static_cast<std::uint8_t>(RecordKind::kVv));
-  put_vv(payload, vv);
-  frame_payload(out, payload);
+  append_framed(out, [&] {
+    put_u8(out, static_cast<std::uint8_t>(RecordKind::kVv));
+    put_vv(out, vv);
+  });
 }
 
 ScanResult scan_records(const std::uint8_t* data, std::size_t len,
@@ -203,66 +301,74 @@ ScanResult scan_records(const std::uint8_t* data, std::size_t len,
   return res;
 }
 
-std::vector<std::uint8_t> encode_snapshot(const store::PartitionStore& store,
-                                          const VersionVector& vv) {
-  std::vector<std::uint8_t> body;
-  put_vv(body, vv);
+std::optional<std::uint32_t> stream_snapshot(const store::PartitionStore& store,
+                                             const VersionVector& vv,
+                                             const ChunkSink& sink) {
+  // Sizing pass: the header carries the body length before any body byte.
+  std::uint64_t body_len = vv_size(vv) + 8;
   std::uint64_t count = 0;
   for (const auto& [key, chain] : store.chains()) {
     (void)key;
-    count += chain.versions().size();
+    for (const store::Version& v : chain.versions()) {
+      body_len += version_size(v);
+      ++count;
+    }
   }
-  put_le<std::uint64_t>(body, count);
+  if (body_len > std::numeric_limits<std::uint32_t>::max()) {
+    return std::nullopt;
+  }
+
+  std::vector<std::uint8_t> chunk;
+  chunk.reserve(kSnapshotChunkBytes);
+  put_bytes(chunk, kSnapshotMagic, sizeof(kSnapshotMagic));
+  put_le<std::uint32_t>(chunk, static_cast<std::uint32_t>(body_len));
+  put_le<std::uint32_t>(chunk, 0);  // CRC placeholder, patched by the caller
+  std::size_t body_from = kSnapshotHeaderBytes;  // first chunk: skip header
+  std::uint32_t crc = crc32_init();
+  std::uint64_t streamed = 0;
+  const auto flush = [&] {
+    crc = crc32_update(crc, chunk.data() + body_from,
+                       chunk.size() - body_from);
+    body_from = 0;
+    streamed += chunk.size();
+    const bool ok = sink(chunk.data(), chunk.size());
+    chunk.clear();
+    return ok;
+  };
+
+  put_vv(chunk, vv);
+  put_le<std::uint64_t>(chunk, count);
   for (const auto& [key, chain] : store.chains()) {
     (void)key;
-    for (const store::Version& v : chain.versions()) put_version(body, v);
+    for (const store::Version& v : chain.versions()) {
+      // A version larger than a whole chunk grows it once; every other
+      // version fits the reserved buffer.
+      if (chunk.size() + version_size(v) > kSnapshotChunkBytes &&
+          !chunk.empty() && !flush()) {
+        return std::nullopt;
+      }
+      put_version(chunk, v);
+    }
   }
-
-  std::vector<std::uint8_t> out;
-  out.reserve(sizeof(kSnapshotMagic) + 8 + body.size());
-  put_bytes(out, kSnapshotMagic, sizeof(kSnapshotMagic));
-  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(body.size()));
-  put_le<std::uint32_t>(out, crc32(body.data(), body.size()));
-  put_bytes(out, body.data(), body.size());
-  return out;
+  if (!chunk.empty() && !flush()) return std::nullopt;
+  POCC_ASSERT_MSG(streamed == kSnapshotHeaderBytes + body_len,
+                  "snapshot sizing pass disagrees with the streamed body");
+  return crc32_final(crc);
 }
 
-std::optional<SnapshotData> decode_snapshot(const std::uint8_t* data,
-                                            std::size_t len) {
-  if (len < sizeof(kSnapshotMagic) + 8) return std::nullopt;
-  if (std::memcmp(data, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    return std::nullopt;
-  }
-  std::uint32_t body_len = 0;
-  std::uint32_t stored_crc = 0;
-  const std::uint8_t* p = data + sizeof(kSnapshotMagic);
-  for (std::size_t i = 0; i < 4; ++i) {
-    body_len |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    stored_crc |= static_cast<std::uint32_t>(p[4 + i]) << (8 * i);
-  }
-  const std::uint8_t* body = p + 8;
-  if (body_len != len - sizeof(kSnapshotMagic) - 8) return std::nullopt;
-  if (crc32(body, body_len) != stored_crc) return std::nullopt;
+bool validate_snapshot(const ChunkSource& src, std::uint64_t image_len) {
+  VersionVector vv;
+  return walk_snapshot(src, image_len, nullptr, &vv).has_value();
+}
 
-  Reader r(body, body_len);
-  SnapshotData snap;
-  snap.vv = r.vv();
-  if (!r.ok() || snap.vv.size() == 0) return std::nullopt;
-  const std::uint64_t count = r.u64();
-  if (!r.ok()) return std::nullopt;
-  // Each version costs >= ~30 bytes; an implausible count is corruption, not
-  // a reason to pre-allocate gigabytes (same defense as the proto codec).
-  if (count > static_cast<std::uint64_t>(r.remaining()) / 30 + 1) {
-    return std::nullopt;
-  }
-  snap.versions.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    store::Version v;
-    if (!r.version(&v)) return std::nullopt;
-    snap.versions.push_back(std::move(v));
-  }
-  if (r.remaining() != 0) return std::nullopt;
-  return snap;
+std::optional<std::uint64_t> apply_snapshot(
+    const ChunkSource& src, std::uint64_t image_len,
+    const std::function<void(const store::Version&)>& on_version,
+    const std::function<void(const VersionVector&)>& on_vv) {
+  VersionVector vv;
+  const auto count = walk_snapshot(src, image_len, &on_version, &vv);
+  if (count.has_value()) on_vv(vv);
+  return count;
 }
 
 }  // namespace pocc::wal

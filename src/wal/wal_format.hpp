@@ -23,11 +23,22 @@
 //   body     vv, u64 version count, then each version (same field encoding
 //            as a kVersion payload, sans the kind byte)
 //
-// Scanning is prefix-exact: a torn or corrupted record ends the scan at the
-// last fully valid record boundary — never a crash, never garbage handed to
-// the caller (fuzzed by tests/wal_fuzz_test.cpp at every byte offset).
+// Snapshots are streamed both ways through one kSnapshotChunkBytes buffer,
+// so a checkpoint or a replay costs a constant amount of memory whatever the
+// store's size. Writing: a sizing pass over the chains fixes the header's
+// body length up front, the body goes out chunk by chunk while its CRC
+// accumulates, and the caller patches the CRC into the header last.
+// Reading: pass 1 checks magic, length, every field and the CRC without
+// touching the key space; only an image that passes is decoded again and
+// applied (pass 2), so a corrupt snapshot never reaches the store.
+//
+// Record scanning is prefix-exact: a torn or corrupted record ends the scan
+// at the last fully valid record boundary — never a crash, never garbage
+// handed to the caller (fuzzed by tests/wal_fuzz_test.cpp at every byte
+// offset).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -72,20 +83,42 @@ struct ScanResult {
 ScanResult scan_records(const std::uint8_t* data, std::size_t len,
                         const std::function<void(const Record&)>& fn);
 
-/// Serialize a consistent cut of one partition: the engine's VV plus every
-/// version chain. Must run on the store's owner thread (reads chains()).
-std::vector<std::uint8_t> encode_snapshot(const store::PartitionStore& store,
-                                          const VersionVector& vv);
+/// Snapshots stream to and from disk through one buffer of this size.
+inline constexpr std::size_t kSnapshotChunkBytes = 256 * 1024;
 
-struct SnapshotData {
-  VersionVector vv;
-  std::vector<store::Version> versions;
-};
+/// Where the body CRC sits in the header (after magic and body length).
+inline constexpr std::size_t kSnapshotCrcOffset = 12;
 
-/// Validate + decode a snapshot file image. nullopt on any mismatch (bad
-/// magic, length, CRC, or payload) — the caller falls back to an older
-/// snapshot or a full log replay.
-std::optional<SnapshotData> decode_snapshot(const std::uint8_t* data,
-                                            std::size_t len);
+/// Takes the next chunk of a snapshot image; false aborts the stream.
+using ChunkSink =
+    std::function<bool(const std::uint8_t* data, std::size_t len)>;
+
+/// Fills up to `len` bytes of `buf` with the next bytes of a snapshot image
+/// and returns how many; 0 means end of input or a read error.
+using ChunkSource =
+    std::function<std::size_t(std::uint8_t* buf, std::size_t len)>;
+
+/// Stream a consistent cut of one partition, the engine's VV plus every
+/// version chain, into `sink` as one snapshot image whose header carries a
+/// zero CRC placeholder. Returns the body CRC-32 for the caller to patch in
+/// at kSnapshotCrcOffset, or nullopt when the sink failed or the body is
+/// over the format's 4 GiB limit. Must run on the store's owner thread
+/// (reads chains()).
+std::optional<std::uint32_t> stream_snapshot(const store::PartitionStore& store,
+                                             const VersionVector& vv,
+                                             const ChunkSink& sink);
+
+/// Replay pass 1: whether `src` yields a valid snapshot image of exactly
+/// `image_len` bytes (magic, length, CRC and every field). Decodes nothing
+/// into the key space.
+bool validate_snapshot(const ChunkSource& src, std::uint64_t image_len);
+
+/// Replay pass 2: decode an image validate_snapshot accepted, delivering
+/// every version and then the VV. Returns the version count, or nullopt if
+/// the image no longer checks out (some versions may have been delivered).
+std::optional<std::uint64_t> apply_snapshot(
+    const ChunkSource& src, std::uint64_t image_len,
+    const std::function<void(const store::Version&)>& on_version,
+    const std::function<void(const VersionVector&)>& on_vv);
 
 }  // namespace pocc::wal

@@ -28,14 +28,25 @@ PartitionWal& WalManager::wal_for(PartitionId part) {
   return *it->second;
 }
 
-void WalManager::submit_checkpoint(PartitionWal* wal, std::uint64_t seq,
-                                   std::vector<std::uint8_t> body) {
+void WalManager::submit_checkpoint(PartitionWal* wal, std::uint64_t seq) {
   {
     std::lock_guard lk(mu_);
     if (stopping_) return;
-    queue_.push_back(Pending{wal, seq, std::move(body)});
+    queue_.push_back(Pending{wal, seq});
   }
   cv_.notify_one();
+}
+
+std::uint64_t WalManager::checkpoints_committed() const {
+  std::uint64_t n = 0;
+  for (const auto& [part, wal] : wals_) n += wal->checkpoints();
+  return n;
+}
+
+std::uint64_t WalManager::checkpoints_failed() const {
+  std::uint64_t n = 0;
+  for (const auto& [part, wal] : wals_) n += wal->checkpoint_failures();
+  return n;
 }
 
 void WalManager::stop() {
@@ -55,14 +66,10 @@ void WalManager::run_flusher() {
     // Drain even when stopping: a begin_checkpoint already rotated the log,
     // and dropping the commit would orphan the rotation until the next one.
     if (queue_.empty()) break;
-    Pending p = std::move(queue_.front());
+    const Pending p = queue_.front();
     queue_.pop_front();
     lk.unlock();
-    if (p.wal->commit_checkpoint(p.seq, p.body)) {
-      ++checkpoints_committed_;
-    } else {
-      ++checkpoints_failed_;
-    }
+    p.wal->commit_checkpoint(p.seq);
     lk.lock();
   }
 }

@@ -2,11 +2,13 @@
 // `<data_dir>/p<part>/`, plus the background checkpoint flusher.
 //
 // Division of labor with the runtime: the engine's worker thread owns the hot
-// path (append, group-commit sync, snapshot serialization — all thread-affine
-// with the engine), while the flusher thread here does the slow, contention-
-// free part of a checkpoint: writing the snapshot body to disk, fsyncing,
-// renaming and pruning (PartitionWal::commit_checkpoint, which is safe off
-// the owner thread by design).
+// path (append, group-commit sync) and step 1 of a checkpoint — rotating the
+// segment and streaming the consistent cut into snap-<seq>.tmp through a
+// fixed chunk buffer, both thread-affine with the engine. The flusher thread
+// here does the rest, which needs no engine state: fsync the tmp file,
+// rename it, fsync the directory and prune (PartitionWal::commit_checkpoint,
+// safe off the owner thread by design). A queued checkpoint is a partition
+// and a sequence number; no snapshot bytes are held in memory.
 #pragma once
 
 #include <condition_variable>
@@ -17,7 +19,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.hpp"
 #include "wal/partition_wal.hpp"
@@ -38,27 +39,23 @@ class WalManager {
   /// use. Setup-phase only: callers must not race this with each other.
   PartitionWal& wal_for(PartitionId part);
 
-  /// Queue a serialized snapshot for durable commit on the flusher thread
-  /// (step 2 of PartitionWal's checkpoint protocol).
-  void submit_checkpoint(PartitionWal* wal, std::uint64_t seq,
-                         std::vector<std::uint8_t> body);
+  /// Queue the durable commit of a streamed snap-<seq>.tmp on the flusher
+  /// thread (step 2 of PartitionWal's checkpoint protocol).
+  void submit_checkpoint(PartitionWal* wal, std::uint64_t seq);
 
   /// Drain the checkpoint queue and join the flusher. Idempotent.
   void stop();
 
   [[nodiscard]] const std::string& data_dir() const { return data_dir_; }
-  [[nodiscard]] std::uint64_t checkpoints_committed() const {
-    return checkpoints_committed_;
-  }
-  [[nodiscard]] std::uint64_t checkpoints_failed() const {
-    return checkpoints_failed_;
-  }
+  /// Summed over the partitions (thread-safe once wal_for() calls are done).
+  [[nodiscard]] std::uint64_t checkpoints_committed() const;
+  /// Failures at either checkpoint step, summed over the partitions.
+  [[nodiscard]] std::uint64_t checkpoints_failed() const;
 
  private:
   struct Pending {
     PartitionWal* wal = nullptr;
     std::uint64_t seq = 0;
-    std::vector<std::uint8_t> body;
   };
 
   void run_flusher();
@@ -72,8 +69,6 @@ class WalManager {
   std::deque<Pending> queue_;
   bool stopping_ = false;
   std::thread flusher_;
-  std::uint64_t checkpoints_committed_ = 0;  // flusher thread, read post-stop
-  std::uint64_t checkpoints_failed_ = 0;
 };
 
 }  // namespace pocc::wal

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -75,10 +76,13 @@ std::string body_of(const std::string& resp) {
 
 /// Two DCs x two partitions on two workers each, every host with the
 /// embedded observability endpoint on an ephemeral port — the poccd
-/// topology, minus the process boundary.
+/// topology, minus the process boundary. A non-empty `data_root` makes each
+/// host durable under `<data_root>/dc<N>` with the given checkpoint
+/// threshold.
 class MetricsDeployment {
  public:
-  MetricsDeployment() {
+  explicit MetricsDeployment(const std::string& data_root = "",
+                             std::uint64_t checkpoint_bytes = 0) {
     layout_.topology.num_dcs = 2;
     layout_.topology.partitions_per_dc = 2;
     layout_.topology.partition_scheme = PartitionScheme::kHash;
@@ -98,6 +102,10 @@ class MetricsDeployment {
       opt.listen_port = 0;
       opt.seed = seed++;
       opt.metrics_addr = "127.0.0.1:0";  // ephemeral scrape endpoint
+      if (!data_root.empty()) {
+        opt.data_dir = data_root + "/dc" + std::to_string(dc);
+        opt.checkpoint_bytes = checkpoint_bytes;
+      }
       hosts_.push_back(std::make_unique<TcpNodeHost>(spec, layout_, opt));
       spec.port = hosts_.back()->port();
       layout_.processes.push_back(spec);
@@ -199,6 +207,69 @@ TEST(MetricsScrapeConcurrency, TightScrapeLoopUnderLoad) {
       << "put latency histogram never recorded";
   EXPECT_EQ(body.find("pocc_host_client_requests_total 0\n"),
             std::string::npos);
+}
+
+/// The value of the first sample line starting with `series` (name plus
+/// labels), or -1 when the scrape has no such line.
+double sample_value(const std::string& body, const std::string& series) {
+  const std::string prefix = series + " ";
+  std::size_t pos = body.rfind("\n" + prefix);
+  if (pos == std::string::npos) return -1;
+  return std::stod(body.substr(pos + 1 + prefix.size()));
+}
+
+TEST(MetricsScrapeConcurrency, DurableHostExportsCheckpointActivity) {
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("pocc_metrics_ckpt_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  {
+    MetricsDeployment cluster(root.string(), /*checkpoint_bytes=*/8 * 1024);
+    const std::uint16_t port = cluster.host(0).metrics_port();
+    ASSERT_NE(port, 0);
+
+    // Scrape while checkpoints are cut and committed: the counters are read
+    // off the scrape thread as the workers and the flusher bump them.
+    std::atomic<bool> done{false};
+    std::thread scraper([&] {
+      while (!done.load(std::memory_order_relaxed)) {
+        (void)http_get(port, "/metrics");
+      }
+    });
+    TcpSession& session = cluster.connect(9002);
+    for (int i = 0; i < 120; ++i) {
+      ASSERT_TRUE(session
+                      .put("ckpt:" + std::to_string(i % 23),
+                           std::string(512, static_cast<char>('a' + i % 26)))
+                      .ok);
+    }
+    done.store(true, std::memory_order_relaxed);
+    scraper.join();
+
+    const std::string body = body_of(http_get(port, "/metrics"));
+    EXPECT_NE(body.find("# TYPE pocc_wal_checkpoints_total counter"),
+              std::string::npos);
+    EXPECT_NE(body.find("# TYPE pocc_wal_checkpoint_cut_us histogram"),
+              std::string::npos);
+    double committed = 0;
+    double cuts = 0;
+    for (const char* part : {"0", "1"}) {
+      const std::string label = std::string("{part=\"") + part + "\"}";
+      const double c = sample_value(body, "pocc_wal_checkpoints_total" + label);
+      const double f =
+          sample_value(body, "pocc_wal_checkpoint_failures_total" + label);
+      const double n =
+          sample_value(body, "pocc_wal_checkpoint_cut_us_count" + label);
+      EXPECT_GE(c, 0) << "missing pocc_wal_checkpoints_total" << label;
+      EXPECT_EQ(f, 0) << "pocc_wal_checkpoint_failures_total" << label;
+      EXPECT_GE(n, 0) << "missing pocc_wal_checkpoint_cut_us_count" << label;
+      committed += c;
+      cuts += n;
+    }
+    EXPECT_GT(committed, 0) << "no checkpoint committed under load";
+    EXPECT_GT(cuts, 0);
+  }
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

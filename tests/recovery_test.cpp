@@ -34,7 +34,6 @@
 #include "store/key_space.hpp"
 #include "test_util.hpp"
 #include "wal/partition_wal.hpp"
-#include "wal/wal_format.hpp"
 
 namespace pocc {
 namespace {
@@ -193,10 +192,10 @@ TEST_P(EngineRecoveryTest, CrashAtRandomPointsMatchesUncrashedDigest) {
     engine->handle_message(events[i].from, events[i].msg);
     if (wal->unsynced_bytes() > 0) wal->sync();
     if (wal->wants_checkpoint()) {
-      const std::uint64_t cp_seq = wal->begin_checkpoint();
-      ASSERT_TRUE(wal->commit_checkpoint(
-          cp_seq, wal::encode_snapshot(engine->partition_store(),
-                                       engine->version_vector())));
+      const auto cp_seq = wal->begin_checkpoint(engine->partition_store(),
+                                                engine->version_vector());
+      ASSERT_TRUE(cp_seq.has_value());
+      ASSERT_TRUE(wal->commit_checkpoint(*cp_seq));
       ++checkpoints;
     }
   }

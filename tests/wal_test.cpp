@@ -1,17 +1,23 @@
 // Per-partition WAL unit tests: record framing round-trips, log + group
 // commit + replay across reopens (the process-restart path), checkpoint
-// rotation, corrupt-snapshot fallback to the older recovery line, and the
-// prune policy. Adversarial torn-tail / bit-flip sweeps live in
-// wal_fuzz_test.cpp; the full crash battery in recovery_test.cpp.
+// rotation, corrupt-snapshot fallback to the older recovery line, the prune
+// policy, and the streamed snapshot path: byte equality with an
+// independent encoder of the documented layout, whole-file validation
+// before apply, and a write failure mid-cut. Adversarial torn-tail /
+// bit-flip sweeps live in wal_fuzz_test.cpp; the full crash battery in
+// recovery_test.cpp.
 #include "wal/partition_wal.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -85,6 +91,36 @@ TEST(WalFormat, RecordRoundTrip) {
   EXPECT_EQ(records[1].vv, vv);
 }
 
+/// Streams a snapshot of `store` + `vv` into memory, CRC patched in.
+std::vector<std::uint8_t> snapshot_image(const store::PartitionStore& store,
+                                         const VersionVector& vv) {
+  std::vector<std::uint8_t> image;
+  const auto crc = stream_snapshot(
+      store, vv, [&](const std::uint8_t* data, std::size_t len) {
+        image.insert(image.end(), data, data + len);
+        return true;
+      });
+  EXPECT_TRUE(crc.has_value());
+  for (std::size_t i = 0; i < 4; ++i) {
+    image[kSnapshotCrcOffset + i] =
+        static_cast<std::uint8_t>(crc.value_or(0) >> (8 * i));
+  }
+  return image;
+}
+
+/// A ChunkSource over an in-memory image, handing out at most `step` bytes
+/// per call so reads straddle field boundaries.
+ChunkSource memory_source(const std::vector<std::uint8_t>& image,
+                          std::size_t step) {
+  return [&image, step, off = std::size_t{0}](std::uint8_t* buf,
+                                              std::size_t len) mutable {
+    const std::size_t n = std::min({len, step, image.size() - off});
+    std::copy_n(image.begin() + static_cast<std::ptrdiff_t>(off), n, buf);
+    off += n;
+    return n;
+  };
+}
+
 TEST(WalFormat, SnapshotRoundTrip) {
   store::PartitionStore store;
   VersionVector vv(3);
@@ -95,16 +131,25 @@ TEST(WalFormat, SnapshotRoundTrip) {
     store.insert(v);
     vv.raise(v.sr, v.ut);
   }
-  const std::vector<std::uint8_t> body = encode_snapshot(store, vv);
-  const auto snap = decode_snapshot(body.data(), body.size());
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->vv, vv);
-  EXPECT_EQ(snap->versions.size(), 20u);
+  const std::vector<std::uint8_t> image = snapshot_image(store, vv);
+  EXPECT_TRUE(validate_snapshot(memory_source(image, 7), image.size()));
+  std::vector<store::Version> got;
+  VersionVector got_vv;
+  const auto count = apply_snapshot(
+      memory_source(image, 7), image.size(),
+      [&](const store::Version& v) { got.push_back(v); },
+      [&](const VersionVector& snap_vv) { got_vv = snap_vv; });
+  ASSERT_TRUE(count.has_value());
+  EXPECT_EQ(*count, 20u);
+  EXPECT_EQ(got.size(), 20u);
+  EXPECT_EQ(got_vv, vv);
   // Any corruption (here: one flipped body byte) must fail validation, not
   // hand back garbage — the caller falls back to the older recovery line.
-  std::vector<std::uint8_t> bad = body;
+  std::vector<std::uint8_t> bad = image;
   bad[bad.size() / 2] ^= 0x40;
-  EXPECT_FALSE(decode_snapshot(bad.data(), bad.size()).has_value());
+  EXPECT_FALSE(validate_snapshot(memory_source(bad, 7), bad.size()));
+  // So must a length that disagrees with the image.
+  EXPECT_FALSE(validate_snapshot(memory_source(image, 7), image.size() + 1));
 }
 
 TEST(WalTest, LogSyncReplayAcrossReopen) {
@@ -184,10 +229,16 @@ TEST(WalTest, CheckpointRotatesSnapshotsAndReplaysTheSuffix) {
     }
     wal.sync();
     ASSERT_TRUE(wal.wants_checkpoint());
-    const std::uint64_t seq = wal.begin_checkpoint();
-    EXPECT_EQ(wal.active_segment_seq(), seq);
-    EXPECT_FALSE(wal.wants_checkpoint());  // pending until the commit lands
-    ASSERT_TRUE(wal.commit_checkpoint(seq, encode_snapshot(store, vv)));
+    const auto seq = wal.begin_checkpoint(store, vv);
+    ASSERT_TRUE(seq.has_value());
+    EXPECT_EQ(wal.active_segment_seq(), *seq);
+    // Pending until the commit lands, even once the new segment refills.
+    wal.log_version(make_version("1:between", 60, 0, "b"));
+    wal.sync();
+    EXPECT_FALSE(wal.wants_checkpoint());
+    ASSERT_TRUE(wal.commit_checkpoint(*seq));
+    EXPECT_TRUE(wal.wants_checkpoint());
+    EXPECT_EQ(wal.checkpoints(), 1u);
     // Post-checkpoint suffix: replayed from the log on top of the snapshot.
     wal.log_version(make_version("1:suffix", 99, 1, "tail"));
     wal.sync();
@@ -197,8 +248,8 @@ TEST(WalTest, CheckpointRotatesSnapshotsAndReplaysTheSuffix) {
   const std::vector<store::Version> got = replay_versions(reopened, &stats);
   EXPECT_TRUE(stats.snapshot_loaded);
   EXPECT_EQ(stats.snapshot_versions, 8u);
-  EXPECT_EQ(stats.log_versions, 1u);
-  ASSERT_EQ(got.size(), 9u);
+  EXPECT_EQ(stats.log_versions, 2u);
+  ASSERT_EQ(got.size(), 10u);
   EXPECT_EQ(got.back().value, "tail");
 }
 
@@ -221,8 +272,8 @@ std::vector<store::Version> drive_checkpoints(PartitionWal& wal,
     }
     wal.sync();
     EXPECT_TRUE(wal.wants_checkpoint());
-    const std::uint64_t seq = wal.begin_checkpoint();
-    EXPECT_TRUE(wal.commit_checkpoint(seq, encode_snapshot(store, vv)));
+    const auto seq = wal.begin_checkpoint(store, vv);
+    EXPECT_TRUE(seq.has_value() && wal.commit_checkpoint(*seq));
   }
   return logged;
 }
@@ -297,6 +348,215 @@ TEST(WalTest, CorruptNewestSnapshotFallsBackToOlderLine) {
   const std::vector<store::Version> got = replay_versions(reopened, &stats);
   EXPECT_TRUE(stats.snapshot_loaded);
   ASSERT_EQ(got.size(), logged.size());
+  std::vector<Timestamp> got_uts;
+  std::vector<Timestamp> want_uts;
+  for (const auto& v : got) got_uts.push_back(v.ut);
+  for (const auto& v : logged) want_uts.push_back(v.ut);
+  std::sort(got_uts.begin(), got_uts.end());
+  std::sort(want_uts.begin(), want_uts.end());
+  EXPECT_EQ(got_uts, want_uts);
+}
+
+/// A store whose snapshot spans several kSnapshotChunkBytes chunks:
+/// `keys` keys of 512 B values, every fourth key with a second version.
+void fill_large_store(store::PartitionStore& store, VersionVector& vv,
+                      int keys) {
+  for (int i = 0; i < keys; ++i) {
+    for (int k = 0; k < (i % 4 == 0 ? 2 : 1); ++k) {
+      const Timestamp ut = 10'000 + 2 * i + k;
+      store::Version v = make_version("1:large" + std::to_string(i), ut,
+                                      static_cast<DcId>(i % 3),
+                                      std::string(512, static_cast<char>(
+                                                           'a' + i % 26)));
+      v.opt_origin = i % 5 == 0;
+      store.insert(v);
+      vv.raise(v.sr, v.ut);
+    }
+  }
+}
+
+std::vector<std::uint8_t> read_bytes(const fs::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+/// The one snap-*.snap file in `dir`.
+fs::path only_snapshot(const std::string& dir) {
+  std::vector<fs::path> snaps;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".snap") snaps.push_back(e.path());
+  }
+  EXPECT_EQ(snaps.size(), 1u);
+  return snaps.empty() ? fs::path() : snaps.front();
+}
+
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+void put_vv(std::vector<std::uint8_t>& out, const VersionVector& vv) {
+  put_le(out, vv.size(), 1);
+  for (std::uint32_t i = 0; i < vv.size(); ++i) {
+    put_le(out, static_cast<std::uint64_t>(vv[i]), 8);
+  }
+}
+
+std::uint32_t bitwise_crc32(const std::vector<std::uint8_t>& data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+/// The snapshot layout documented in wal_format.hpp, encoded from scratch
+/// (own little-endian writer, own bitwise CRC-32) so the streaming writer
+/// is pinned to the on-disk format, not to itself.
+std::vector<std::uint8_t> reference_snapshot(
+    const store::PartitionStore& store, const VersionVector& vv) {
+  std::vector<std::uint8_t> body;
+  put_vv(body, vv);
+  std::uint64_t count = 0;
+  for (const auto& entry : store.chains()) {
+    count += entry.second.versions().size();
+  }
+  put_le(body, count, 8);
+  for (const auto& entry : store.chains()) {
+    for (const store::Version& v : entry.second.versions()) {
+      const std::string key = store::key_name(v.key);
+      put_le(body, key.size(), 2);
+      body.insert(body.end(), key.begin(), key.end());
+      put_le(body, v.value.size(), 4);
+      body.insert(body.end(), v.value.begin(), v.value.end());
+      put_le(body, v.sr, 4);
+      put_le(body, static_cast<std::uint64_t>(v.ut), 8);
+      put_vv(body, v.dv);
+      put_le(body, v.opt_origin ? 1 : 0, 1);
+    }
+  }
+  std::vector<std::uint8_t> out = {'P', 'O', 'C', 'C', 'S', 'N', 'P', '1'};
+  put_le(out, body.size(), 4);
+  put_le(out, bitwise_crc32(body), 4);
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
+}
+
+TEST(WalTest, StreamedSnapshotIsByteEqualToTheDocumentedLayout) {
+  const std::string dir = fresh_dir("byte_equal");
+  store::PartitionStore store;
+  VersionVector vv(3);
+  fill_large_store(store, vv, 3'000);
+  const std::vector<std::uint8_t> want = reference_snapshot(store, vv);
+  ASSERT_GT(want.size(), 4 * kSnapshotChunkBytes);
+  {
+    PartitionWal wal(dir, PartitionWal::Options{0});
+    const auto seq = wal.begin_checkpoint(store, vv);
+    ASSERT_TRUE(seq.has_value());
+    ASSERT_TRUE(wal.commit_checkpoint(*seq));
+  }
+  EXPECT_EQ(read_bytes(only_snapshot(dir)), want);
+
+  // And it replays to the same store.
+  PartitionWal reopened(dir, PartitionWal::Options{0});
+  PartitionWal::ReplayStats stats;
+  VersionVector got_vv(3);
+  const std::vector<store::Version> got =
+      replay_versions(reopened, &stats, &got_vv);
+  EXPECT_TRUE(stats.snapshot_loaded);
+  EXPECT_EQ(got.size(), store.stats().versions);
+  EXPECT_EQ(got_vv, vv);
+}
+
+TEST(WalTest, CrcFlipInTheLastChunkAppliesNothingFromTheFile) {
+  const std::string dir = fresh_dir("last_chunk_flip");
+  store::PartitionStore store;
+  VersionVector vv(3);
+  fill_large_store(store, vv, 3'000);
+  {
+    PartitionWal wal(dir, PartitionWal::Options{0});
+    const auto seq = wal.begin_checkpoint(store, vv);
+    ASSERT_TRUE(seq.has_value());
+    ASSERT_TRUE(wal.commit_checkpoint(*seq));
+  }
+  const fs::path snap = only_snapshot(dir);
+  const auto size = static_cast<std::streamoff>(fs::file_size(snap));
+  ASSERT_GT(size, static_cast<std::streamoff>(3 * kSnapshotChunkBytes));
+  {
+    std::fstream f(snap, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(size - 100);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x01);
+    f.seekp(size - 100);
+    f.write(&byte, 1);
+  }
+  // Every chunk before the flip decodes cleanly, yet none of its versions
+  // may reach the store: the whole file is validated before any is applied.
+  PartitionWal reopened(dir, PartitionWal::Options{0});
+  PartitionWal::ReplayStats stats;
+  const std::vector<store::Version> got = replay_versions(reopened, &stats);
+  EXPECT_FALSE(stats.snapshot_loaded);
+  EXPECT_EQ(stats.snapshot_versions, 0u);
+  EXPECT_TRUE(got.empty());
+}
+
+TEST(WalTest, WriteFailureMidCutKeepsTheOlderLine) {
+  const std::string dir = fresh_dir("cut_failure");
+  PartitionWal::Options opt;
+  opt.checkpoint_bytes = 1;
+  store::PartitionStore store;
+  VersionVector vv(3);
+  Timestamp next_ut = 500;
+  std::vector<store::Version> logged;
+  {
+    PartitionWal wal(dir, opt);
+    logged = drive_checkpoints(wal, store, vv, 1, &next_ut);
+    // Grow the store past one chunk, then cap the file size so the stream
+    // fails after its first chunk: write(2) returns EFBIG once SIGXFSZ is
+    // ignored.
+    fill_large_store(store, vv, 1'000);
+    for (const auto& entry : store.chains()) {
+      for (const store::Version& v : entry.second.versions()) {
+        if (v.ut >= 10'000) {
+          wal.log_version(v);
+          logged.push_back(v);
+        }
+      }
+    }
+    wal.sync();
+    ASSERT_TRUE(wal.wants_checkpoint());
+    rlimit old_limit{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit capped = old_limit;
+    capped.rlim_cur = kSnapshotChunkBytes + kSnapshotChunkBytes / 2;
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    const auto seq = wal.begin_checkpoint(store, vv);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+    std::signal(SIGXFSZ, old_handler);
+
+    EXPECT_FALSE(seq.has_value());
+    EXPECT_EQ(wal.checkpoint_failures(), 1u);
+    EXPECT_EQ(wal.checkpoints(), 1u);
+    for (const auto& e : fs::directory_iterator(dir)) {
+      EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+    }
+    // The pending flag is clear: the next full segment checkpoints again.
+    wal.log_version(make_version("1:after", next_ut, 2, "after"));
+    logged.push_back(make_version("1:after", next_ut, 2, "after"));
+    wal.sync();
+    EXPECT_TRUE(wal.wants_checkpoint());
+  }
+  // Recovery: the older snapshot plus every segment since — nothing lost.
+  PartitionWal reopened(dir, opt);
+  PartitionWal::ReplayStats stats;
+  const std::vector<store::Version> got = replay_versions(reopened, &stats);
+  EXPECT_TRUE(stats.snapshot_loaded);
   std::vector<Timestamp> got_uts;
   std::vector<Timestamp> want_uts;
   for (const auto& v : got) got_uts.push_back(v.ut);
