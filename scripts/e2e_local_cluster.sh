@@ -33,7 +33,8 @@
 # Every poccd serves /metrics + /healthz + /readyz on BASE_PORT+40+dc;
 # startup and restart waits poll /readyz (recovery complete AND all peer
 # links up) instead of just probing the listen socket, and a mid-load scrape
-# of /metrics is saved to OUT_DIR as the observability artifact.
+# of /metrics is saved to OUT_DIR as the observability artifact (and must
+# carry one `# TYPE` line per metric family).
 #
 # A high-connection leg (E2E_HIGHCONN_LEG=1, default) raises the fd soft
 # limit to the hard limit and drives a pipelined checked load over
@@ -231,6 +232,17 @@ if ! grep -q '^pocc_transport_frames_in_total ' "$OUT_DIR/metrics_dc0.prom"; the
   echo "e2e: FAIL — mid-load /metrics scrape is missing transport counters" >&2
   exit 10
 fi
+# Exposition format: one HELP/TYPE header per metric family, so a repeated
+# `# TYPE <name>` line means a family's samples were split apart.
+for dc in $(seq 0 $((DCS - 1))); do
+  dup_types=$( (grep '^# TYPE' "$OUT_DIR/metrics_dc${dc}.prom" || true) |
+    sort | uniq -d)
+  if [ -n "$dup_types" ]; then
+    echo "e2e: FAIL — dc$dc /metrics repeats TYPE lines:" >&2
+    echo "$dup_types" >&2
+    exit 10
+  fi
+done
 echo "e2e: mid-load /metrics scrape OK ($(wc -l < "$OUT_DIR/metrics_dc0.prom") series lines from dc0)"
 
 if ! wait "$PIPE_LOAD_PID"; then

@@ -294,8 +294,12 @@ std::uint64_t TcpNodeHost::overloaded_replies() const {
 }
 
 std::uint64_t TcpNodeHost::deduped_requests() const {
+  return session_stats().deduped;
+}
+
+ClientSessions::Stats TcpNodeHost::session_stats() const {
   std::lock_guard lk(mu_);
-  return deduped_;
+  return sessions_.stats();
 }
 
 std::uint64_t TcpNodeHost::client_requests() const {
@@ -378,10 +382,25 @@ void TcpNodeHost::register_metrics() {
                [this] { return overloaded_replies(); });
   r.counter_fn("pocc_host_deduped_requests_total", {},
                [this] { return deduped_requests(); },
-               "Retries absorbed by the idempotency cache (hit rate = this / "
+               "Retries absorbed by the session slots (hit rate = this / "
                "pocc_host_client_requests_total)");
+  r.counter_fn("pocc_host_stale_requests_total", {},
+               [this] { return session_stats().stale; },
+               "Requests older than their session's latest op (non-zero = "
+               "the serial-session assumption broke)");
   r.counter_fn("pocc_host_client_requests_total", {},
                [this] { return client_requests(); });
+  r.gauge_fn("pocc_host_client_sessions", {},
+             [this] {
+               return static_cast<std::int64_t>(session_stats().sessions);
+             },
+             "Exactly-once session slots held (one per client ever served)");
+  r.gauge_fn("pocc_host_cached_reply_bytes", {},
+             [this] {
+               return static_cast<std::int64_t>(
+                   session_stats().cached_reply_bytes);
+             },
+             "Bytes of reply frames cached for retries");
   r.counter_fn("pocc_local_deliveries_total", {},
                [this] { return group_->local_deliveries(); },
                "Cross-partition messages delivered without a socket");
@@ -500,27 +519,16 @@ void TcpNodeHost::route_to_client(NodeId /*from*/, ClientId client,
   {
     std::lock_guard lk(mu_);
     if (op_id != 0) {
-      // The reply is the op's completion: cache the encoded frame so a
-      // retransmit of this op_id is answered from here (exactly-once), and
-      // retire the in-flight marker. Cached even when the client's
-      // connection is gone — it will retry the op after reconnecting.
-      ClientOpCache& cache = client_ops_[client];
-      cache.in_flight.erase(op_id);
-      if (cache.done.emplace(op_id, frame).second) {
-        cache.done_order.push_back(op_id);
-        while (cache.done_order.size() > kOpCacheWindow) {
-          cache.done.erase(cache.done_order.front());
-          cache.done_order.pop_front();
-        }
-      }
+      // The reply is the op's completion: its slot caches the encoded frame
+      // so a retransmit of this op_id is answered from here (exactly-once).
+      conn = sessions_.complete(client, op_id, frame);
     } else if (std::holds_alternative<proto::SessionClosed>(m)) {
-      // HA-POCC abort: every outstanding op resolves with no reply to
-      // cache; the client re-initializes the session rather than retrying.
-      auto it = client_ops_.find(client);
-      if (it != client_ops_.end()) it->second.in_flight.clear();
+      // HA-POCC abort: the outstanding op resolves with no reply to cache;
+      // the client re-initializes the session rather than retrying.
+      conn = sessions_.close(client);
+    } else {
+      conn = sessions_.conn_of(client);
     }
-    auto it = client_conn_.find(client);
-    if (it != client_conn_.end()) conn = it->second;
   }
   if (conn == kInvalidConn) {
     // The client disconnected (or never sent a request here): a reply to a
@@ -609,23 +617,19 @@ void TcpNodeHost::dispatch_client_request(ConnId conn, proto::Message m,
   std::vector<std::uint8_t> resend;
   {
     std::lock_guard lk(mu_);
-    client_conn_[client] = conn;
-    if (!replayed) ++client_requests_;
-    if (!replayed && op_id != 0) {
+    if (replayed) {
+      sessions_.bind(client, conn);
+    } else {
+      ++client_requests_;
       // Idempotent retry absorption: the client retries with the SAME
       // op_id, so a duplicate of a completed op is answered from the
-      // cached reply window and a duplicate of an op still in flight is
-      // swallowed — a retried PUT never reaches the engine twice.
-      ClientOpCache& cache = client_ops_[client];
-      auto done_it = cache.done.find(op_id);
-      if (done_it != cache.done.end()) {
-        ++deduped_;
-        resend = done_it->second;  // sent below, outside mu_
-      } else if (cache.in_flight.contains(op_id)) {
-        ++deduped_;
+      // session's cached reply (sent below, outside mu_), and a duplicate
+      // of an op still in flight — or a stale op from the session's past —
+      // is swallowed: a retried PUT never reaches the engine twice.
+      const auto verdict = sessions_.admit(client, conn, op_id, &resend);
+      if (verdict == ClientSessions::Verdict::kDuplicate ||
+          verdict == ClientSessions::Verdict::kStale) {
         return;
-      } else {
-        cache.in_flight.insert(op_id);
       }
     }
     if (resend.empty() && recovery_dones_pending_ > 0) {
@@ -649,10 +653,7 @@ void TcpNodeHost::dispatch_client_request(ConnId conn, proto::Message m,
   if (refused) {
     {
       std::lock_guard lk(mu_);
-      auto it = client_ops_.find(client);
-      if (it != client_ops_.end()) {
-        it->second.in_flight.erase(op_id);  // never admitted; a retry is fresh
-      }
+      sessions_.refuse(client, op_id);  // never ran; a retry is fresh
     }
     send_overloaded(conn, client, op_id);
   }
@@ -682,7 +683,7 @@ void TcpNodeHost::on_frame(ConnId conn, proto::Frame frame) {
   if (const auto* hello = std::get_if<proto::ClientHello>(&frame)) {
     if (hello->client != 0) {
       std::lock_guard lk(mu_);
-      client_conn_[hello->client] = conn;
+      sessions_.bind(hello->client, conn);
     }
     // Pinning: re-home the socket onto the event loop owning the preferred
     // partition's worker, so its requests run socket → decode → engine on
@@ -779,9 +780,7 @@ void TcpNodeHost::on_migrated(ConnId from, ConnId to) {
     conn_peer_.emplace(to, it->second);
     conn_peer_.erase(it);
   }
-  for (auto& [client, conn] : client_conn_) {
-    if (conn == from) conn = to;
-  }
+  sessions_.migrate(from, to);
   for (auto& [conn, m] : parked_clients_) {
     if (conn == from) conn = to;
   }
@@ -790,13 +789,7 @@ void TcpNodeHost::on_migrated(ConnId from, ConnId to) {
 void TcpNodeHost::on_disconnected(ConnId conn) {
   std::lock_guard lk(mu_);
   conn_peer_.erase(conn);
-  for (auto it = client_conn_.begin(); it != client_conn_.end();) {
-    if (it->second == conn) {
-      it = client_conn_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  sessions_.disconnect(conn);
 }
 
 }  // namespace pocc::net

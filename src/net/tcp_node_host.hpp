@@ -29,16 +29,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "net/client_sessions.hpp"
 #include "net/cluster_config.hpp"
 #include "net/http_server.hpp"
 #include "net/tcp_transport.hpp"
@@ -166,9 +165,12 @@ class TcpNodeHost final : public rt::Router {
   [[nodiscard]] std::uint64_t dropped_frames() const;
   /// Client requests refused with an Overloaded reply (admission control).
   [[nodiscard]] std::uint64_t overloaded_replies() const;
-  /// Retransmitted client requests absorbed by the idempotency cache
-  /// (cached reply resent or duplicate of an in-flight op swallowed).
+  /// Retransmitted client requests absorbed by the session slots (cached
+  /// reply resent or duplicate of an in-flight op swallowed).
   [[nodiscard]] std::uint64_t deduped_requests() const;
+  /// The exactly-once session table: slots held, cached reply frames, and
+  /// the deduped / stale verdicts so far.
+  [[nodiscard]] ClientSessions::Stats session_stats() const;
   /// Client requests that reached dispatch (dedup hit-rate denominator).
   [[nodiscard]] std::uint64_t client_requests() const;
 
@@ -228,31 +230,13 @@ class TcpNodeHost final : public rt::Router {
   std::vector<std::unique_ptr<Link>> links_;
   std::unordered_map<std::uint64_t, Link*> link_by_node_;
 
-  /// Exactly-once against client retries, extended to pipelined windows:
-  /// one entry per client session. The serial protocol only ever needed the
-  /// LAST reply (op n+1 is sent once op n resolved); with pipelining a
-  /// connection can carry several outstanding ops, so completed replies
-  /// live in a bounded FIFO window and admitted-but-unresolved op_ids in a
-  /// set. A retry of a completed op gets the cached reply frame resent; a
-  /// retry of an op still in flight is swallowed (the original's reply is
-  /// coming). Guarded by mu_.
-  struct ClientOpCache {
-    std::deque<std::uint64_t> done_order;  // completion order, for eviction
-    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> done;
-    std::unordered_set<std::uint64_t> in_flight;
-  };
-  /// Completed replies remembered per session — must cover the deepest
-  /// pipeline window a client keeps outstanding per session (sessions stay
-  /// serial today, so anything >= 1 is safe; headroom is cheap).
-  static constexpr std::size_t kOpCacheWindow = 16;
-
   mutable std::mutex mu_;
   std::unordered_map<ConnId, NodeId> conn_peer_;  // inbound, via NodeHello
-  std::unordered_map<ClientId, ConnId> client_conn_;
-  std::unordered_map<ClientId, ClientOpCache> client_ops_;
+  /// Exactly-once against client retries, and where each client's replies
+  /// go: one slot per client session (see net/client_sessions.hpp).
+  ClientSessions sessions_;
   std::uint64_t dropped_ = 0;
   std::uint64_t overloaded_ = 0;
-  std::uint64_t deduped_ = 0;
   std::uint64_t client_requests_ = 0;
   bool started_ = false;
   /// RecoveryDones still outstanding across all hosted partitions; client

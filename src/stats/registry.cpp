@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
+#include <unordered_map>
 
 namespace pocc::stats {
 namespace {
@@ -179,37 +181,52 @@ Snapshot Registry::snapshot() const {
 }
 
 std::string render_prometheus(const Snapshot& snap) {
+  // Group the samples by family, families in first-appearance order: the
+  // per-partition registrations interleave families (gets{part=0},
+  // puts{part=0}, gets{part=1}, ...), while the exposition format wants each
+  // family's HELP/TYPE once with all of its samples after it.
+  std::vector<std::vector<const Snapshot::Sample*>> families;
+  std::unordered_map<std::string_view, std::size_t> family_index;
+  for (const auto& s : snap.samples) {
+    const auto [it, fresh] = family_index.try_emplace(s.name, families.size());
+    if (fresh) families.emplace_back();
+    families[it->second].push_back(&s);
+  }
   std::string out;
   out.reserve(snap.samples.size() * 96);
-  std::string last_typed;  // emit HELP/TYPE once per metric family
-  for (const auto& s : snap.samples) {
-    if (s.name != last_typed) {
-      last_typed = s.name;
-      if (!s.help.empty()) {
-        out += "# HELP " + s.name + " " + s.help + "\n";
-      }
-      out += "# TYPE " + s.name + " ";
-      switch (s.kind) {
-        case Snapshot::Kind::kCounter: out += "counter"; break;
-        case Snapshot::Kind::kGauge: out += "gauge"; break;
-        case Snapshot::Kind::kHistogram: out += "histogram"; break;
-      }
-      out += "\n";
+  for (const auto& family : families) {
+    const Snapshot::Sample& head = *family.front();
+    const auto with_help =
+        std::find_if(family.begin(), family.end(),
+                     [](const Snapshot::Sample* s) { return !s->help.empty(); });
+    if (with_help != family.end()) {
+      out += "# HELP " + head.name + " " + (*with_help)->help + "\n";
     }
-    if (s.kind == Snapshot::Kind::kHistogram) {
-      for (const std::int64_t bound : kLeBoundsUs) {
-        out += s.name + "_bucket" +
-               render_labels_with(s.labels, "le", fmt_u64(bound)) + " " +
-               fmt_u64(s.hist.count_le(bound)) + "\n";
+    out += "# TYPE " + head.name + " ";
+    switch (head.kind) {
+      case Snapshot::Kind::kCounter: out += "counter"; break;
+      case Snapshot::Kind::kGauge: out += "gauge"; break;
+      case Snapshot::Kind::kHistogram: out += "histogram"; break;
+    }
+    out += "\n";
+    for (const Snapshot::Sample* s : family) {
+      if (s->kind == Snapshot::Kind::kHistogram) {
+        for (const std::int64_t bound : kLeBoundsUs) {
+          out += s->name + "_bucket" +
+                 render_labels_with(s->labels, "le", fmt_u64(bound)) + " " +
+                 fmt_u64(s->hist.count_le(bound)) + "\n";
+        }
+        out += s->name + "_bucket" +
+               render_labels_with(s->labels, "le", "+Inf") + " " +
+               fmt_u64(s->hist.count()) + "\n";
+        out += s->name + "_sum" + render_labels(s->labels) + " " +
+               fmt_value(s->hist.sum()) + "\n";
+        out += s->name + "_count" + render_labels(s->labels) + " " +
+               fmt_u64(s->hist.count()) + "\n";
+      } else {
+        out += s->name + render_labels(s->labels) + " " +
+               fmt_value(s->value) + "\n";
       }
-      out += s.name + "_bucket" + render_labels_with(s.labels, "le", "+Inf") +
-             " " + fmt_u64(s.hist.count()) + "\n";
-      out += s.name + "_sum" + render_labels(s.labels) + " " +
-             fmt_value(s.hist.sum()) + "\n";
-      out += s.name + "_count" + render_labels(s.labels) + " " +
-             fmt_u64(s.hist.count()) + "\n";
-    } else {
-      out += s.name + render_labels(s.labels) + " " + fmt_value(s.value) + "\n";
     }
   }
   return out;

@@ -133,9 +133,10 @@ class Registry {
   std::vector<Instrument> instruments_;
 };
 
-/// Prometheus text exposition format: `# HELP` / `# TYPE` headers, cumulative
-/// `le` buckets (microsecond ladder) plus `_sum` / `_count` for histograms,
-/// full label-value escaping.
+/// Prometheus text exposition format: one `# HELP` / `# TYPE` header per
+/// metric family with all of the family's samples after it (families in
+/// first-appearance order), cumulative `le` buckets (microsecond ladder) plus
+/// `_sum` / `_count` for histograms, full label-value escaping.
 std::string render_prometheus(const Snapshot& snap);
 
 /// One human line per instrument: `name{k=v}=value` with the `pocc_` prefix

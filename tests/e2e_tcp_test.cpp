@@ -138,6 +138,10 @@ class Deployment {
     return n;
   }
 
+  ClientSessions::Stats session_stats(DcId dc) const {
+    return hosts_[dc]->session_stats();
+  }
+
   ClientResilienceStats resilience_stats() const {
     ClientResilienceStats s;
     for (const auto& pool : pools_) s += pool->resilience_stats();
@@ -406,6 +410,32 @@ TEST(E2eTcp, ResilientSessionsAbsorbDuplicatedClientFrames) {
   run_load(cluster, /*sessions_per_dc=*/2, /*ops_per_session=*/100);
   EXPECT_GT(cluster.deduped_requests(), 0u)
       << "dup_p=0.05 over 1200 ops should have produced duplicates";
+  expect_clean_replay(cluster);
+}
+
+TEST(E2eTcp, ShortLivedSessionsKeepOneCachedReplyEach) {
+  // Short-lived sessions, one GET and one PUT of a 512 B value each, then
+  // abandoned. The host keeps one slot per session holding only its LAST
+  // reply: admitting the PUT frees the 512 B GetReply.
+  Deployment cluster(rt::System::kPocc);
+  constexpr std::size_t kSessions = 200;
+  const std::string value(512, 'v');
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    TcpSession& s = cluster.connect(0);
+    const std::string key = "e2e:large:" + std::to_string(i % 16);
+    ASSERT_TRUE(s.get(key).ok);
+    ASSERT_TRUE(s.put(key, value).ok);
+  }
+  const ClientSessions::Stats st = cluster.session_stats(0);
+  EXPECT_EQ(st.sessions, kSessions);
+  EXPECT_EQ(st.cached_replies, kSessions) << "one reply per session";
+  EXPECT_LT(st.cached_reply_bytes, kSessions * value.size())
+      << "a GetReply outlived its session's next op";
+  EXPECT_EQ(st.deduped, 0u);
+  EXPECT_EQ(st.stale, 0u);
+  // The other DCs serve no client session.
+  EXPECT_EQ(cluster.session_stats(1).sessions, 0u);
+  EXPECT_EQ(cluster.session_stats(2).sessions, 0u);
   expect_clean_replay(cluster);
 }
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "stats/registry.hpp"
 
@@ -201,6 +203,52 @@ TEST(RenderPrometheus, TypeOncePerFamilyAndCumulativeBuckets) {
   EXPECT_NE(out.find("pocc_lat_us_bucket{le=\"+Inf\"} 2\n"),
             std::string::npos);
   EXPECT_NE(out.find("pocc_lat_us_count 2\n"), std::string::npos);
+}
+
+TEST(RenderPrometheus, InterleavedPartitionFamiliesRenderGrouped) {
+  // What a two-partition host registers: each partition's families in turn,
+  // so the registry holds gets/puts/sync interleaved across partitions.
+  Registry r;
+  for (int part = 0; part < 2; ++part) {
+    const Labels label = {{"part", std::to_string(part)}};
+    r.counter("pocc_engine_gets_total", label, "GETs served.")->inc(10 + part);
+    r.counter("pocc_engine_puts_total", label)->inc(20 + part);
+    r.histogram("pocc_wal_sync_us", label)->record(100);
+  }
+  r.gauge("pocc_host_ready")->set(1);
+  const std::string out = render_prometheus(r.snapshot());
+
+  // One data line per series and one TYPE line per family; within a family,
+  // the TYPE line comes first and its samples follow it contiguously.
+  std::vector<std::string> lines;
+  for (std::size_t pos = 0; pos < out.size();) {
+    const std::size_t nl = out.find('\n', pos);
+    lines.push_back(out.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  std::vector<std::string> families;  // one entry per TYPE line
+  for (const auto& line : lines) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      families.push_back(line.substr(7, line.find(' ', 7) - 7));
+    } else if (line.rfind("#", 0) != 0) {
+      ASSERT_FALSE(families.empty()) << line;
+      EXPECT_EQ(line.rfind(families.back(), 0), 0u)
+          << "sample '" << line << "' outside its family block";
+    }
+  }
+  EXPECT_EQ(families,
+            (std::vector<std::string>{"pocc_engine_gets_total",
+                                      "pocc_engine_puts_total",
+                                      "pocc_wal_sync_us", "pocc_host_ready"}));
+  EXPECT_EQ(std::count(lines.begin(), lines.end(),
+                       "# HELP pocc_engine_gets_total GETs served."),
+            1);
+  EXPECT_NE(out.find("pocc_engine_gets_total{part=\"0\"} 10\n"
+                     "pocc_engine_gets_total{part=\"1\"} 11\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("pocc_wal_sync_us_count{part=\"0\"} 1\n"
+                     "pocc_wal_sync_us_bucket{part=\"1\",le=\"50\"}"),
+            std::string::npos);
 }
 
 TEST(RenderPrometheus, EscapesLabelValues) {
