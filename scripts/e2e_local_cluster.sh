@@ -232,6 +232,16 @@ if ! grep -q '^pocc_transport_frames_in_total ' "$OUT_DIR/metrics_dc0.prom"; the
   echo "e2e: FAIL — mid-load /metrics scrape is missing transport counters" >&2
   exit 10
 fi
+# Every DC reports its own CPU time and resident memory, all non-zero.
+for dc in $(seq 0 $((DCS - 1))); do
+  for series in pocc_process_cpu_us_total pocc_process_resident_bytes \
+                pocc_process_peak_resident_bytes; do
+    if ! grep -qE "^$series [1-9]" "$OUT_DIR/metrics_dc${dc}.prom"; then
+      echo "e2e: FAIL — dc$dc mid-load /metrics scrape lacks $series (or reads 0)" >&2
+      exit 10
+    fi
+  done
+done
 # Exposition format: one HELP/TYPE header per metric family, so a repeated
 # `# TYPE <name>` line means a family's samples were split apart.
 for dc in $(seq 0 $((DCS - 1))); do

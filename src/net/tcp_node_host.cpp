@@ -8,6 +8,7 @@
 #include "cure/cure_server.hpp"
 #include "ha/ha_pocc_server.hpp"
 #include "pocc/pocc_server.hpp"
+#include "stats/process_metrics.hpp"
 #include "store/key_space.hpp"
 
 namespace pocc::net {
@@ -474,6 +475,8 @@ void TcpNodeHost::register_metrics() {
           ->set(static_cast<std::int64_t>(rs.torn_bytes));
     }
   }
+  // --- the process: CPU time and resident memory ---
+  stats::register_process_metrics(r);
 }
 
 void TcpNodeHost::log(const std::string& what) const {

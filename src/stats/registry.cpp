@@ -144,6 +144,7 @@ void Registry::gauge_fn(std::string name, Labels labels,
 Snapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
   Snapshot snap;
+  snap.samples.reserve(instruments_.size());
   for (const auto& ins : instruments_) {
     // Merge into an existing sample with the same (name, labels) — this is
     // how per-thread shards (and split counters like the per-shard transport
@@ -162,6 +163,9 @@ Snapshot Registry::snapshot() const {
       target->labels = ins.labels;
       target->kind = ins.kind;
       target->help = ins.help;
+      if (ins.kind == Snapshot::Kind::kHistogram) {
+        target->hist = std::make_unique<Histogram>();
+      }
     }
     switch (ins.kind) {
       case Snapshot::Kind::kCounter:
@@ -173,7 +177,7 @@ Snapshot Registry::snapshot() const {
                                                        : ins.gauge_fn());
         break;
       case Snapshot::Kind::kHistogram:
-        target->hist.merge(ins.hist->snapshot());
+        target->hist->merge(ins.hist->snapshot());
         break;
     }
   }
@@ -214,15 +218,15 @@ std::string render_prometheus(const Snapshot& snap) {
         for (const std::int64_t bound : kLeBoundsUs) {
           out += s->name + "_bucket" +
                  render_labels_with(s->labels, "le", fmt_u64(bound)) + " " +
-                 fmt_u64(s->hist.count_le(bound)) + "\n";
+                 fmt_u64(s->hist->count_le(bound)) + "\n";
         }
         out += s->name + "_bucket" +
                render_labels_with(s->labels, "le", "+Inf") + " " +
-               fmt_u64(s->hist.count()) + "\n";
+               fmt_u64(s->hist->count()) + "\n";
         out += s->name + "_sum" + render_labels(s->labels) + " " +
-               fmt_value(s->hist.sum()) + "\n";
+               fmt_value(s->hist->sum()) + "\n";
         out += s->name + "_count" + render_labels(s->labels) + " " +
-               fmt_u64(s->hist.count()) + "\n";
+               fmt_u64(s->hist->count()) + "\n";
       } else {
         out += s->name + render_labels(s->labels) + " " +
                fmt_value(s->value) + "\n";
@@ -255,13 +259,13 @@ std::string render_human(const Snapshot& snap) {
     }
     if (!out.empty()) out += " ";
     if (s.kind == Snapshot::Kind::kHistogram) {
-      out += name + tag + "_count=" + fmt_u64(s.hist.count());
+      out += name + tag + "_count=" + fmt_u64(s.hist->count());
       out += " " + name + tag + "_p50=" + fmt_u64(static_cast<std::uint64_t>(
-                                              s.hist.percentile(50)));
+                                              s.hist->percentile(50)));
       out += " " + name + tag + "_p99=" + fmt_u64(static_cast<std::uint64_t>(
-                                              s.hist.percentile(99)));
+                                              s.hist->percentile(99)));
       out += " " + name + tag + "_p999=" + fmt_u64(static_cast<std::uint64_t>(
-                                               s.hist.percentile(99.9)));
+                                               s.hist->percentile(99.9)));
     } else {
       out += name + tag + "=" + fmt_value(s.value);
     }

@@ -82,18 +82,23 @@ class HistogramCell {
 };
 
 /// Plain-data scrape result (instruments already merged by name + labels).
+/// A histogram (~6 KiB of buckets) lives out of line, allocated only for
+/// kHistogram samples, so a scrape costs what its counters and gauges need.
 struct Snapshot {
   enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
   struct Sample {
     std::string name;
     Labels labels;
     Kind kind = Kind::kCounter;
-    double value = 0.0;   // counter / gauge value
-    Histogram hist;       // kHistogram only
+    double value = 0.0;               // counter / gauge value
+    std::unique_ptr<Histogram> hist;  // kHistogram only
     std::string help;
   };
   std::vector<Sample> samples;
 };
+// A Sample must stay small: an inline Histogram would make every counter and
+// gauge of a scrape carry ~6 KiB of buckets again.
+static_assert(sizeof(Snapshot::Sample) <= 256);
 
 class Registry {
  public:

@@ -7,28 +7,35 @@
 
 namespace pocc::store {
 
-KeySpace::KeySpace()
-    : chunks_(new std::atomic<Entry*>[kMaxChunks]) {
-  for (std::size_t i = 0; i < kMaxChunks; ++i) {
-    chunks_[i].store(nullptr, std::memory_order_relaxed);
-  }
+KeySpace::KeySpace() {
   // Id 0 is always the empty key, so default-constructed messages and
   // versions (key = 0) are valid and charge zero key bytes on the wire.
   intern(std::string_view{});
 }
 
 KeySpace::~KeySpace() {
-  const std::size_t n = count_.load(std::memory_order_acquire);
-  for (std::size_t c = 0; c * kChunkSize < n; ++c) {
-    delete[] chunks_[c].load(std::memory_order_relaxed);
+  for (auto& seg : segments_) delete[] seg.load(std::memory_order_relaxed);
+}
+
+std::size_t KeySpace::capacity() const {
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < kSegments; ++c) {
+    if (segments_[c].load(std::memory_order_acquire) == nullptr) break;
+    total += kFirstSegment << c;
   }
+  return total;
 }
 
 const KeySpace::Entry& KeySpace::entry(KeyId id) const {
   POCC_ASSERT_MSG(id < count_.load(std::memory_order_acquire),
                   "KeyId was never interned");
-  Entry* chunk = chunks_[id >> kChunkShift].load(std::memory_order_acquire);
-  return chunk[id & (kChunkSize - 1)];
+  const Slot s = slot_of(id);
+  return segments_[s.segment].load(std::memory_order_acquire)[s.offset];
+}
+
+const KeySpace::Entry& KeySpace::entry_locked(std::size_t id) const {
+  const Slot s = slot_of(id);
+  return segments_[s.segment].load(std::memory_order_relaxed)[s.offset];
 }
 
 void KeySpace::rehash_locked(std::size_t buckets) {
@@ -36,10 +43,7 @@ void KeySpace::rehash_locked(std::size_t buckets) {
   mask_ = buckets - 1;
   const std::size_t n = count_.load(std::memory_order_relaxed);
   for (std::size_t id = 0; id < n; ++id) {
-    const Entry& e =
-        chunks_[id >> kChunkShift].load(std::memory_order_relaxed)
-               [id & (kChunkSize - 1)];
-    std::size_t i = e.hash & mask_;
+    std::size_t i = entry_locked(id).hash & mask_;
     while (table_[i] != 0) i = (i + 1) & mask_;
     table_[i] = static_cast<std::uint32_t>(id) + 1;
   }
@@ -54,20 +58,19 @@ KeyId KeySpace::insert_locked(std::string_view key, std::uint64_t h) {
   std::size_t i = h & mask_;
   while (table_[i] != 0) {
     const KeyId id = table_[i] - 1;
-    const Entry& e =
-        chunks_[id >> kChunkShift].load(std::memory_order_relaxed)
-               [id & (kChunkSize - 1)];
+    const Entry& e = entry_locked(id);
     if (e.hash == h && e.key == key) return id;  // idempotent intern
     i = (i + 1) & mask_;
   }
-  POCC_ASSERT_MSG(n < kMaxChunks * kChunkSize, "key space exhausted");
-  const std::size_t chunk_idx = n >> kChunkShift;
-  Entry* chunk = chunks_[chunk_idx].load(std::memory_order_relaxed);
-  if (chunk == nullptr) {
-    chunk = new Entry[kChunkSize];
-    chunks_[chunk_idx].store(chunk, std::memory_order_release);
+  POCC_ASSERT_MSG(n < kMaxKeys, "key space exhausted: table_ holds id + 1 "
+                                "in a u32");
+  const Slot s = slot_of(n);
+  Entry* seg = segments_[s.segment].load(std::memory_order_relaxed);
+  if (seg == nullptr) {
+    seg = new Entry[kFirstSegment << s.segment];
+    segments_[s.segment].store(seg, std::memory_order_release);
   }
-  Entry& e = chunk[n & (kChunkSize - 1)];
+  Entry& e = seg[s.offset];
   e.key.assign(key.data(), key.size());
   e.hash = h;
   std::uint32_t prefix = 0;
@@ -102,9 +105,7 @@ KeyId KeySpace::find(std::string_view key) const {
   std::size_t i = h & mask_;
   while (table_[i] != 0) {
     const KeyId id = table_[i] - 1;
-    const Entry& e =
-        chunks_[id >> kChunkShift].load(std::memory_order_relaxed)
-               [id & (kChunkSize - 1)];
+    const Entry& e = entry_locked(id);
     if (e.hash == h && e.key == key) return id;
     i = (i + 1) & mask_;
   }

@@ -14,16 +14,18 @@
 // Callers span threads freely — the workload/client boundary, the TCP
 // transport thread (codec re-interning on decode) and every rt::NodeGroup
 // worker. Per-id lookups (`name`, `hash_of`, `partition`) are lock-free:
-// entries live in fixed-size chunks whose pointers are published with
-// release semantics before the entry count is (release-)advanced, so any
+// entries live in segments that double in size (segment c holds ids
+// [B·(2^c − 1), B·(2^(c+1) − 1)), B = 1024), so memory grows with the keys
+// actually interned and entries never move. A segment's pointer is published
+// with release semantics before the entry count is (release-)advanced, so any
 // thread that obtained an id — through a queue, a lock, or directly from
 // intern() — observes the fully-constructed entry. Stressed under TSan by
 // tests/store_concurrency_test.cpp.
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -85,6 +87,13 @@ class KeySpace {
     return count_.load(std::memory_order_acquire);
   }
 
+  /// Entries allocated so far (interned or not yet). Segments double, so
+  /// this never exceeds 2 * size() + kFirstSegment.
+  [[nodiscard]] std::size_t capacity() const;
+
+  /// Ids held by segment 0; segment c holds kFirstSegment << c ids.
+  static constexpr std::size_t kFirstSegment = 1024;
+
   /// Process-wide interner shared by every host (simulator and runtime).
   static KeySpace& global();
 
@@ -98,11 +107,30 @@ class KeySpace {
   };
 
   static constexpr std::uint64_t kNoPrefix = ~std::uint64_t{0};
-  static constexpr std::size_t kChunkShift = 16;  // 65536 entries per chunk
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
-  static constexpr std::size_t kMaxChunks = 1 << 15;  // ~2.1B keys
+  static constexpr int kFirstSegmentShift = std::countr_zero(kFirstSegment);
+  static_assert(std::has_single_bit(kFirstSegment));
+  // table_ stores id + 1 in a u32, so the largest id is 2^32 - 2; its
+  // segment, found below, is the last one needed.
+  static constexpr std::size_t kMaxKeys = std::size_t{0xffffffffu};
+  static constexpr std::size_t kSegments =
+      std::bit_width(kMaxKeys - 1 + kFirstSegment) - kFirstSegmentShift;
+  static_assert(kSegments == 23);
+
+  struct Slot {
+    std::size_t segment;
+    std::size_t offset;
+  };
+  /// Segment and offset of `id`: one clz on id + kFirstSegment.
+  static Slot slot_of(std::size_t id) {
+    const std::size_t v = id + kFirstSegment;
+    const std::size_t seg =
+        static_cast<std::size_t>(std::bit_width(v)) - 1 - kFirstSegmentShift;
+    return {seg, v - (kFirstSegment << seg)};
+  }
 
   [[nodiscard]] const Entry& entry(KeyId id) const;
+  /// Entry of an interned id, for callers holding mu_.
+  [[nodiscard]] const Entry& entry_locked(std::size_t id) const;
   KeyId insert_locked(std::string_view key, std::uint64_t hash);
   void rehash_locked(std::size_t buckets);
 
@@ -111,7 +139,7 @@ class KeySpace {
   std::vector<std::uint32_t> table_;
   std::size_t mask_ = 0;
   std::atomic<std::size_t> count_{0};
-  std::unique_ptr<std::atomic<Entry*>[]> chunks_;
+  std::atomic<Entry*> segments_[kSegments] = {};
 };
 
 /// Shorthand for interning against the global KeySpace (tests, examples).

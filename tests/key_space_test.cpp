@@ -1,6 +1,7 @@
 // KeySpace interner: dense idempotent ids, by-id round trips, partition
-// placement parity with the string-hashing path, and the empty-key-zero
-// invariant that keeps default-constructed messages valid.
+// placement parity with the string-hashing path, the empty-key-zero
+// invariant that keeps default-constructed messages valid, and the doubling
+// segments that make its memory grow with the keys interned.
 #include "store/key_space.hpp"
 
 #include <gtest/gtest.h>
@@ -100,6 +101,56 @@ TEST(KeySpace, SurvivesTableGrowth) {
   for (int i = 0; i < 5000; ++i) {
     EXPECT_EQ(intern_key("ks-grow-" + std::to_string(i)), ids[i]);
   }
+}
+
+TEST(KeySpace, FreshInternerHoldsOnlyTheFirstSegment) {
+  KeySpace ks;
+  EXPECT_EQ(ks.size(), 1u);  // the empty key
+  EXPECT_EQ(ks.capacity(), KeySpace::kFirstSegment);
+}
+
+TEST(KeySpace, SegmentEdgesResolve) {
+  // Segment c holds ids [B*(2^c - 1), B*(2^(c+1) - 1)): check the last id of
+  // each of the first five segments and the first id of the next, plus the
+  // capacity bound as the interner grows through them.
+  constexpr std::size_t B = KeySpace::kFirstSegment;
+  constexpr std::size_t kSegmentsChecked = 5;
+  const std::size_t last_edge = B * ((std::size_t{1} << kSegmentsChecked) - 1);
+  KeySpace ks;
+  auto key_of = [](std::size_t i) {
+    return std::to_string(i % 7) + ":edge-" + std::to_string(i);
+  };
+  const std::string_view first = ks.name(ks.intern(key_of(1)));
+  for (std::size_t i = 2; i <= last_edge; ++i) {
+    ASSERT_EQ(ks.intern(key_of(i)), i) << "ids stay dense";
+    ASSERT_LE(ks.capacity(), 2 * ks.size() + B) << "at size " << ks.size();
+    ASSERT_GE(ks.capacity(), ks.size());
+  }
+  for (std::size_t c = 1; c <= kSegmentsChecked; ++c) {
+    const std::size_t edge = B * ((std::size_t{1} << c) - 1);
+    for (const std::size_t id : {edge - 1, edge}) {
+      const std::string k = key_of(id);
+      EXPECT_EQ(ks.intern(k), id) << "idempotent at " << id;
+      EXPECT_EQ(ks.find(k), id);
+      EXPECT_EQ(ks.name(static_cast<KeyId>(id)), k);
+      EXPECT_EQ(ks.hash_of(static_cast<KeyId>(id)), fnv1a(k));
+      for (std::uint32_t parts : {4u, 7u}) {
+        EXPECT_EQ(ks.partition(static_cast<KeyId>(id), parts,
+                               PartitionScheme::kPrefix),
+                  partition_of(k, parts, PartitionScheme::kPrefix))
+            << id;
+        EXPECT_EQ(ks.partition(static_cast<KeyId>(id), parts,
+                               PartitionScheme::kHash),
+                  partition_of(k, parts, PartitionScheme::kHash))
+            << id;
+      }
+    }
+  }
+  // Entries never move: a view taken before any growth is still the entry.
+  EXPECT_EQ(ks.name(1).data(), first.data());
+  EXPECT_EQ(first, key_of(1));
+  EXPECT_EQ(ks.name(0), "");
+  EXPECT_EQ(ks.capacity(), B * ((std::size_t{1} << (kSegmentsChecked + 1)) - 1));
 }
 
 TEST(KeySpace, ConcurrentInternIsConsistent) {

@@ -218,6 +218,27 @@ double sample_value(const std::string& body, const std::string& series) {
   return std::stod(body.substr(pos + 1 + prefix.size()));
 }
 
+TEST(MetricsScrapeConcurrency, ProcessSeriesAreLive) {
+  // CPU time and resident memory of the hosting process, read at scrape
+  // time: every one present and non-zero, the peak never below the current.
+  MetricsDeployment cluster;
+  const std::uint16_t port = cluster.host(0).metrics_port();
+  ASSERT_NE(port, 0);
+  const std::string body = body_of(http_get(port, "/metrics"));
+  EXPECT_NE(body.find("# TYPE pocc_process_cpu_us_total counter"),
+            std::string::npos);
+  EXPECT_NE(body.find("# TYPE pocc_process_resident_bytes gauge"),
+            std::string::npos);
+  EXPECT_NE(body.find("# TYPE pocc_process_peak_resident_bytes gauge"),
+            std::string::npos);
+  const double cpu = sample_value(body, "pocc_process_cpu_us_total");
+  const double rss = sample_value(body, "pocc_process_resident_bytes");
+  const double peak = sample_value(body, "pocc_process_peak_resident_bytes");
+  EXPECT_GT(cpu, 0);
+  EXPECT_GT(rss, 0);
+  EXPECT_GE(peak, rss);
+}
+
 TEST(MetricsScrapeConcurrency, DurableHostExportsCheckpointActivity) {
   const std::filesystem::path root =
       std::filesystem::temp_directory_path() /

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "stats/process_metrics.hpp"
 #include "stats/registry.hpp"
 
 namespace pocc::stats {
@@ -172,8 +173,24 @@ TEST(Registry, HistogramShardsMerge) {
   b->record(300);
   const Snapshot snap = r.snapshot();
   ASSERT_EQ(snap.samples.size(), 1u);
-  EXPECT_EQ(snap.samples[0].hist.count(), 3u);
-  EXPECT_DOUBLE_EQ(snap.samples[0].hist.sum(), 600.0);
+  EXPECT_EQ(snap.samples[0].hist->count(), 3u);
+  EXPECT_DOUBLE_EQ(snap.samples[0].hist->sum(), 600.0);
+}
+
+TEST(Registry, ProcessSeriesReadTheKernel) {
+  Registry r;
+  register_process_metrics(r);
+  const Snapshot snap = r.snapshot();
+  ASSERT_EQ(snap.samples.size(), 3u);
+  EXPECT_EQ(snap.samples[0].name, "pocc_process_cpu_us_total");
+  EXPECT_EQ(snap.samples[0].kind, Snapshot::Kind::kCounter);
+  EXPECT_EQ(snap.samples[1].name, "pocc_process_resident_bytes");
+  EXPECT_EQ(snap.samples[1].kind, Snapshot::Kind::kGauge);
+  EXPECT_EQ(snap.samples[2].name, "pocc_process_peak_resident_bytes");
+  EXPECT_EQ(snap.samples[2].kind, Snapshot::Kind::kGauge);
+  for (const auto& s : snap.samples) EXPECT_GT(s.value, 0.0) << s.name;
+  EXPECT_GE(snap.samples[2].value, snap.samples[1].value);
+  EXPECT_EQ(snap.samples[0].hist, nullptr);  // no histogram for a counter
 }
 
 TEST(RenderPrometheus, TypeOncePerFamilyAndCumulativeBuckets) {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "store/key_space.hpp"
 #include "store/partition_store.hpp"
@@ -129,6 +130,74 @@ TEST(StoreConcurrency, ConcurrentInternAndLookup) {
       // Every thread that interned `name` must have received `id`; verify by
       // re-interning (pure lookup now).
       ASSERT_EQ(ks.intern(name), id);
+    }
+  }
+}
+
+TEST(StoreConcurrency, InternAcrossSegmentEdgesWhileReading) {
+  // A fresh interner grows through segments 0..4 (edges at ids 1024, 3072,
+  // 7168, 15360) while writers intern new keys and readers, without taking
+  // the intern lock, resolve ids they already hold: any id below a size()
+  // they observed, plus the ids they interned themselves. A segment pointer
+  // published after the count, or an entry that moved, shows up here as a
+  // TSan race or a wrong name.
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 2;
+  constexpr std::size_t kPerWriter = 5'000;  // 20k keys: past four edges
+  KeySpace ks;
+  auto key_of = [](int w, std::size_t i) {
+    return std::to_string(i % 5) + ":seg-" + std::to_string(w) + "-" +
+           std::to_string(i);
+  };
+  auto check = [&ks](KeyId id) {
+    const std::string_view name = ks.name(id);
+    ASSERT_EQ(ks.hash_of(id), fnv1a(name));
+    ASSERT_EQ(ks.partition(id, 5, PartitionScheme::kPrefix),
+              partition_of(name, 5, PartitionScheme::kPrefix));
+  };
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      // A failed ASSERT returns from the inner lambda only, so the readers
+      // still learn that this writer is done.
+      [&] {
+        Rng rng(0xED6E + static_cast<std::uint64_t>(w));
+        std::vector<KeyId> mine;
+        mine.reserve(kPerWriter);
+        for (std::size_t i = 0; i < kPerWriter; ++i) {
+          const std::string name = key_of(w, i);
+          const KeyId id = ks.intern(name);
+          mine.push_back(id);
+          ASSERT_EQ(ks.name(id), name);
+          check(mine[rng.uniform(mine.size())]);
+        }
+      }();
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng(0xAEAD + static_cast<std::uint64_t>(r));
+      std::uint64_t reads = 0;
+      while (writers_left.load() > 0 || reads < 1'000) {
+        const std::size_t n = ks.size();
+        check(static_cast<KeyId>(rng.uniform(n)));
+        check(static_cast<KeyId>(n - 1));  // the newest entry
+        ++reads;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  ASSERT_EQ(ks.size(), 1 + kWriters * kPerWriter);
+  ASSERT_LE(ks.capacity(), 2 * ks.size() + KeySpace::kFirstSegment);
+  for (int w = 0; w < kWriters; ++w) {
+    for (std::size_t i = 0; i < kPerWriter; ++i) {
+      const std::string name = key_of(w, i);
+      const KeyId id = ks.find(name);
+      ASSERT_NE(id, kInvalidKeyId);
+      ASSERT_EQ(ks.name(id), name);
     }
   }
 }

@@ -145,7 +145,7 @@ TEST(WalCheckpointConcurrency, RunningGroupCheckpointsAndReplaysExactly) {
     EXPECT_EQ(wal.checkpoints_failed(), 0u);
     std::uint64_t cuts = 0;
     for (const auto& s : registry.snapshot().samples) {
-      if (s.name == "pocc_wal_checkpoint_cut_us") cuts += s.hist.count();
+      if (s.name == "pocc_wal_checkpoint_cut_us") cuts += s.hist->count();
     }
     EXPECT_EQ(cuts, wal.checkpoints_committed());
     for (PartitionId p = 0; p < kParts; ++p) {
