@@ -242,6 +242,21 @@ for dc in $(seq 0 $((DCS - 1))); do
     fi
   done
 done
+# The transport buffer arenas stay within their bound: at most 1 MiB per
+# shard (BufferArena::kMaxPooledBytes), one shard per worker thread.
+ARENA_BOUND=$((THREADS * 1048576))
+for dc in $(seq 0 $((DCS - 1))); do
+  pooled=$(awk '$1 == "pocc_transport_arena_pooled_bytes" { print $2 }' \
+    "$OUT_DIR/metrics_dc${dc}.prom")
+  if [ -z "$pooled" ]; then
+    echo "e2e: FAIL — dc$dc mid-load /metrics scrape lacks pocc_transport_arena_pooled_bytes" >&2
+    exit 10
+  fi
+  if [ "$pooled" -gt "$ARENA_BOUND" ]; then
+    echo "e2e: FAIL — dc$dc transport arenas hold $pooled B (bound $ARENA_BOUND B)" >&2
+    exit 10
+  fi
+done
 # Exposition format: one HELP/TYPE header per metric family, so a repeated
 # `# TYPE <name>` line means a family's samples were split apart.
 for dc in $(seq 0 $((DCS - 1))); do

@@ -31,9 +31,10 @@ ClientSessions::Verdict ClientSessions::admit(
   }
   if (!s.reply.empty()) {
     --cached_replies_;
-    cached_reply_bytes_ -= s.reply.size();
-    // A fresh buffer, not clear(): the old frame's capacity goes with it.
-    s.reply = {};
+    cached_reply_bytes_ -= s.reply.capacity();
+    // Swap with an empty vector: `s.reply = {}` would pick
+    // operator=(initializer_list), a clear() that keeps the capacity.
+    std::vector<std::uint8_t>().swap(s.reply);
   }
   s.op_id = op_id;
   s.in_flight = true;
@@ -59,7 +60,7 @@ ConnId ClientSessions::complete(ClientId client, std::uint64_t op_id,
     s.in_flight = false;
     s.reply = frame;
     ++cached_replies_;
-    cached_reply_bytes_ += frame.size();
+    cached_reply_bytes_ += s.reply.capacity();
   }
   return s.conn;
 }

@@ -26,7 +26,13 @@
 // its session — a host keeps one small record plus the last reply frame per
 // session it ever served. sessions / cached_reply_bytes in stats() (the
 // pocc_host_client_sessions / pocc_host_cached_reply_bytes gauges) make
-// that residual growth visible.
+// that residual growth visible. cached_reply_bytes counts the capacity the
+// slots hold, not the frames' sizes, so a slot that kept an earlier, larger
+// frame's buffer shows up there.
+//
+// Pitfall: `reply = {}` on a std::vector selects operator=(initializer_list),
+// which clears but keeps the capacity. Freeing a cached frame swaps it with
+// an empty vector instead.
 //
 // Not thread-safe: net::TcpNodeHost calls it under its own mutex.
 #pragma once
@@ -53,7 +59,7 @@ class ClientSessions {
   struct Stats {
     std::size_t sessions = 0;            // slots held
     std::size_t cached_replies = 0;      // slots holding a reply frame
-    std::size_t cached_reply_bytes = 0;  // bytes of those frames
+    std::size_t cached_reply_bytes = 0;  // capacity held by those frames
     std::uint64_t deduped = 0;           // kResend + kDuplicate verdicts
     std::uint64_t stale = 0;             // kStale verdicts
   };

@@ -346,6 +346,12 @@ void TcpNodeHost::register_metrics() {
     r.counter_fn(f.name, {},
                  [this, field = f.field] { return transport_.stats().*field; });
   }
+  r.gauge_fn("pocc_transport_arena_pooled_bytes", {},
+             [this] {
+               return static_cast<std::int64_t>(
+                   transport_.arena_pooled_bytes());
+             },
+             "Capacity parked in the transport buffer arenas");
   // Which readiness backend the transport shards run — the label carries the
   // name, the value is a constant 1 (Prometheus *_info convention).
   r.gauge_fn("pocc_transport_backend_info",
@@ -401,7 +407,7 @@ void TcpNodeHost::register_metrics() {
                return static_cast<std::int64_t>(
                    session_stats().cached_reply_bytes);
              },
-             "Bytes of reply frames cached for retries");
+             "Capacity held by the reply frames cached for retries");
   r.counter_fn("pocc_local_deliveries_total", {},
                [this] { return group_->local_deliveries(); },
                "Cross-partition messages delivered without a socket");

@@ -373,6 +373,15 @@ TransportStats TcpTransport::stats() const {
   return total;
 }
 
+std::size_t TcpTransport::arena_pooled_bytes() const {
+  std::size_t total = 0;
+  for (const auto& s : shards_) {
+    std::lock_guard lk(s->mu);
+    total += s->arena.pooled_bytes();
+  }
+  return total;
+}
+
 void TcpTransport::dial(Shard& s, Conn& c, Timestamp now) {
   c.retry_at = 0;
   addrinfo hints{};

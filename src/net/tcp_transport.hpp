@@ -129,12 +129,23 @@ struct TransportStats {
 /// capacity to the next conn/frame — at 100k-connection churn the allocator
 /// otherwise sees one malloc/free pair per frame and per accept.
 ///
+/// Sized to what it hands back out, not to what flows through it: every
+/// written frame (each client reply included) is released here, but only
+/// accepts and LinkBatcher flushes acquire, so releases far outnumber
+/// acquires and a pool as deep as the traffic only fills with dead frames.
+/// A small LIFO stack keeps the hit rate while idle memory stays bounded.
+///
 /// Ownership rule: the arena never holds a buffer that is still reachable
 /// from a Conn — release() is called exactly where the owning reference
 /// dies (frame fully flushed, connection reaped). Guarded by the owning
 /// shard's mutex like everything else it is touched with.
 class BufferArena {
  public:
+  /// Bounds of the pool; a released buffer beyond any of them is freed.
+  static constexpr std::size_t kMaxPooledBuffers = 64;
+  static constexpr std::size_t kMaxPooledBuffer = 64u << 10;
+  static constexpr std::size_t kMaxPooledBytes = 1u << 20;
+
   /// Pop a pooled buffer (cleared; capacity retained) or make a fresh one.
   /// `*hit` reports which, for the arena_hits/arena_misses counters.
   [[nodiscard]] std::vector<std::uint8_t> acquire(bool* hit) {
@@ -163,13 +174,12 @@ class BufferArena {
   }
 
   [[nodiscard]] std::size_t pooled() const { return free_.size(); }
+  /// Capacity held by the pooled buffers.
+  [[nodiscard]] std::size_t pooled_bytes() const { return pooled_bytes_; }
 
  private:
   // LIFO: the hottest (cache-warm, grown-to-working-set) buffer is reused
-  // first. Caps bound idle memory, not throughput.
-  static constexpr std::size_t kMaxPooledBuffers = 4096;
-  static constexpr std::size_t kMaxPooledBuffer = 1u << 20;
-  static constexpr std::size_t kMaxPooledBytes = 32u << 20;
+  // first.
   std::vector<std::vector<std::uint8_t>> free_;
   std::size_t pooled_bytes_ = 0;
 };
@@ -301,6 +311,9 @@ class TcpTransport {
   [[nodiscard]] std::uint16_t listen_port() const { return listen_port_; }
   /// Aggregated over every shard.
   [[nodiscard]] TransportStats stats() const;
+  /// Capacity parked in the shard buffer arenas, summed over shards (each
+  /// read under its shard lock).
+  [[nodiscard]] std::size_t arena_pooled_bytes() const;
 
   [[nodiscard]] std::uint32_t num_loops() const {
     return static_cast<std::uint32_t>(shards_.size());

@@ -10,13 +10,15 @@ namespace pocc::store {
 
 /// One version of a data item. The key travels as an interned KeyId (see
 /// key_space.hpp) — wire-size accounting still charges the original key
-/// bytes, so the protocol's metadata model is unchanged.
+/// bytes, so the protocol's metadata model is unchanged. Members are ordered
+/// by alignment (8-byte ones first) so the record carries no interior
+/// padding: a store holds one of these per live version.
 struct Version {
-  KeyId key = 0;      // k: item key (interned)
   std::string value;  // v: item value
-  DcId sr = 0;        // source replica: DC where the PUT was executed
   Timestamp ut = 0;   // update time: physical timestamp at creation
   VersionVector dv;   // dependency vector: potential deps, one entry per DC
+  KeyId key = 0;      // k: item key (interned)
+  DcId sr = 0;        // source replica: DC where the PUT was executed
   /// HA-POCC (§IV-C): true if created by a client operating optimistically.
   /// Pessimistic sessions may only see such local items once they are stable.
   bool opt_origin = false;
@@ -37,6 +39,7 @@ struct Version {
     return cv;
   }
 };
+static_assert(sizeof(Version) <= 128, "Version grew padding or a member");
 
 /// The implicit initial version of an unwritten key: empty value, zero
 /// timestamp, no dependencies. Keys are logically pre-loaded with this (the

@@ -3,6 +3,10 @@
 // POCC reads only ever touch the head (the freshest version); Cure* reads
 // search the chain for the freshest *stable* version, paying one hop per
 // version skipped — the resource-efficiency difference §V-B measures.
+//
+// A chain holds exactly the versions it stores: GC and purges give back the
+// slots they empty. Most keys sit at one version between updates, so a
+// vector left at its growth capacity would carry a dead slot per key.
 #pragma once
 
 #include <cstdint>
@@ -61,25 +65,30 @@ class VersionChain {
   /// Garbage collection (§IV-B): walk freshest-to-oldest and keep everything
   /// up to and including the first version satisfying `reachable_floor`
   /// (the oldest version that an active transaction could still read);
-  /// drop the rest. Returns the number of versions removed.
+  /// drop the rest, and the slots that held them. Returns the number of
+  /// versions removed.
   template <typename Pred>
   std::size_t gc(Pred&& reachable_floor) {
     for (std::size_t i = 0; i < versions_.size(); ++i) {
       if (reachable_floor(versions_[i])) {
         const std::size_t removed = versions_.size() - (i + 1);
-        versions_.resize(i + 1);
+        if (removed != 0) {
+          versions_.resize(i + 1);
+          versions_.shrink_to_fit();
+        }
         return removed;
       }
     }
     return 0;  // no version is at/below the floor yet: keep everything
   }
 
-  /// Remove all versions matching `pred`. Returns the number removed.
+  /// Remove all versions matching `pred`, and the slots that held them.
+  /// Returns the number removed.
   template <typename Pred>
   std::size_t erase_if(Pred&& pred) {
-    const std::size_t before = versions_.size();
-    std::erase_if(versions_, pred);
-    return before - versions_.size();
+    const std::size_t removed = std::erase_if(versions_, pred);
+    if (removed != 0) versions_.shrink_to_fit();
+    return removed;
   }
 
   [[nodiscard]] std::size_t size() const { return versions_.size(); }

@@ -164,6 +164,25 @@ TEST(ClientSessions, NextOpFreesThePreviousReply) {
   EXPECT_EQ(s.stats().sessions, 3u);
 }
 
+TEST(ClientSessions, SmallerReplyDoesNotKeepTheLargerFramesCapacity) {
+  // A GET reply followed by the next op's PutReply: the slot must hold the
+  // 37 B it caches, not the 600 B buffer underneath. cached_reply_bytes
+  // counts capacity, so it reads what the slot really holds.
+  ClientSessions s;
+  std::vector<std::uint8_t> resend;
+  ASSERT_EQ(s.admit(kClient, kConn, 1, &resend), Verdict::kAdmit);
+  s.complete(kClient, 1, reply_frame(1, 600));
+  EXPECT_EQ(s.stats().cached_reply_bytes, 600u);
+  ASSERT_EQ(s.admit(kClient, kConn, 2, &resend), Verdict::kAdmit);
+  EXPECT_EQ(s.stats().cached_reply_bytes, 0u);
+  const auto put_reply = reply_frame(2, 37);
+  s.complete(kClient, 2, put_reply);
+  EXPECT_EQ(s.stats().cached_replies, 1u);
+  EXPECT_EQ(s.stats().cached_reply_bytes, 37u);
+  ASSERT_EQ(s.admit(kClient, kConn, 2, &resend), Verdict::kResend);
+  EXPECT_EQ(resend, put_reply);
+}
+
 TEST(ClientSessions, OpIdZeroCarriesNoIdentity) {
   ClientSessions s;
   std::vector<std::uint8_t> resend;

@@ -80,6 +80,40 @@ struct FrameSink {
   }
 };
 
+TEST(BufferArena, PoolStaysWithinItsBoundsUnderMixedReleases) {
+  // Every written frame is released but few are acquired again, so the pool
+  // must stop at its bounds: reply frames, ~35 KB replication batches and
+  // buffers beyond the per-buffer cap, 10k of them.
+  static_assert(BufferArena::kMaxPooledBytes <= (1u << 20),
+                "a shard's pool is at most 1 MiB");
+  constexpr std::size_t kSizes[] = {37,     590,    4096,   35'000,
+                                    65'536, 70'000, 1u << 20};
+  BufferArena arena;
+  for (std::size_t i = 0; i < 10'000; ++i) {
+    std::vector<std::uint8_t> buf;
+    buf.reserve(kSizes[i % std::size(kSizes)]);
+    arena.release(std::move(buf));
+    ASSERT_LE(arena.pooled(), BufferArena::kMaxPooledBuffers);
+    ASSERT_LE(arena.pooled_bytes(), BufferArena::kMaxPooledBytes);
+  }
+  EXPECT_GT(arena.pooled(), 0u);
+
+  // A buffer above the per-buffer cap is freed, never pooled.
+  const std::size_t before = arena.pooled_bytes();
+  std::vector<std::uint8_t> big;
+  big.reserve(BufferArena::kMaxPooledBuffer + 1);
+  arena.release(std::move(big));
+  EXPECT_EQ(arena.pooled_bytes(), before);
+
+  bool hit = false;
+  std::vector<std::uint8_t> buf = arena.acquire(&hit);
+  EXPECT_TRUE(hit);
+  EXPECT_TRUE(buf.empty());
+  EXPECT_GT(buf.capacity(), 0u);
+  EXPECT_LE(buf.capacity(), BufferArena::kMaxPooledBuffer);
+  EXPECT_EQ(arena.pooled_bytes(), before - buf.capacity());
+}
+
 TEST(TcpTransport, FramesCrossASocketInOrder) {
   FrameSink server_sink;
   TcpTransport server(server_sink.callbacks(), TcpTransport::Options{});

@@ -134,6 +134,18 @@ TEST(VersionChain, GcKeepsFloorAndEverythingFresher) {
   EXPECT_EQ(c.versions()[1].ut, 30);
 }
 
+TEST(VersionChain, GcReleasesTheSlotsItEmpties) {
+  VersionChain c;
+  c.insert(make_version(10, 0));
+  c.insert(make_version(20, 0));
+  c.insert(make_version(30, 0));
+  ASSERT_GE(c.versions().capacity(), 3u);
+  EXPECT_EQ(c.gc([](const Version& v) { return v.ut <= 30; }), 2u);
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.freshest()->ut, 30);
+  EXPECT_EQ(c.versions().capacity(), 1u);
+}
+
 TEST(VersionChain, GcNoFloorKeepsEverything) {
   VersionChain c;
   c.insert(make_version(10, 0));
@@ -147,6 +159,14 @@ TEST(VersionChain, EraseIf) {
   for (Timestamp t : {10, 20, 30}) c.insert(make_version(t, 0));
   EXPECT_EQ(c.erase_if([](const Version& v) { return v.ut == 20; }), 1u);
   EXPECT_EQ(c.size(), 2u);
+}
+
+TEST(VersionChain, EraseIfReleasesTheSlotsItEmpties) {
+  VersionChain c;
+  for (Timestamp t : {10, 20, 30}) c.insert(make_version(t, 0));
+  EXPECT_EQ(c.erase_if([](const Version& v) { return v.ut != 20; }), 2u);
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.versions().capacity(), 1u);
 }
 
 // Fuzz: arbitrary insertion orders (with duplicates and LWW ties) must always
