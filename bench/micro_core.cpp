@@ -163,12 +163,14 @@ void BM_VersionChainInsertFreshest(benchmark::State& state) {
   v.key = store::intern_key("k");
   v.value = "12345678";
   v.dv = VersionVector(3);
+  std::size_t stored = 0;
   for (auto _ : state) {
     v.ut = t++;
     chain.insert(v);
-    if (chain.size() > 64) {
+    if (++stored > 64) {
       state.PauseTiming();
-      chain.gc([](const store::Version&) { return true; });
+      chain.gc([](const store::VersionRecord&) { return true; });
+      stored = 1;
       state.ResumeTiming();
     }
   }
@@ -192,7 +194,7 @@ void BM_ChainStableSearch(benchmark::State& state) {
   const Timestamp gss = 100;  // only the oldest version is stable
   for (auto _ : state) {
     auto r = chain.freshest_where(
-        [&](const store::Version& v) { return v.ut <= gss; });
+        [&](const store::VersionRecord& v) { return v.ut() <= gss; });
     benchmark::DoNotOptimize(r);
   }
 }

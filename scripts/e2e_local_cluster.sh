@@ -257,6 +257,17 @@ for dc in $(seq 0 $((DCS - 1))); do
     exit 10
   fi
 done
+# Every DC reports the bytes its stores hold, per partition: the data's
+# share of the resident memory above. The smoke leg and this load have
+# written (and replicated) versions everywhere, so no DC's total is 0.
+for dc in $(seq 0 $((DCS - 1))); do
+  store_bytes=$(awk '$1 ~ /^pocc_store_bytes\{/ { n++; s += $2 }
+    END { if (n > 0) printf "%d\n", s }' "$OUT_DIR/metrics_dc${dc}.prom")
+  if [ -z "$store_bytes" ] || [ "$store_bytes" -le 0 ]; then
+    echo "e2e: FAIL — dc$dc mid-load /metrics scrape lacks pocc_store_bytes (or reads 0)" >&2
+    exit 10
+  fi
+done
 # Exposition format: one HELP/TYPE header per metric family, so a repeated
 # `# TYPE <name>` line means a family's samples were split apart.
 for dc in $(seq 0 $((DCS - 1))); do

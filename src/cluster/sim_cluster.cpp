@@ -1,6 +1,7 @@
 #include "cluster/sim_cluster.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -238,7 +239,7 @@ PhysicalClock& SimCluster::clock_at(NodeId id) { return node_at(id).clock(); }
 std::uint64_t SimCluster::state_digest() const {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   auto mix = [&h](std::uint64_t x) { h = splitmix64(h ^ x); };
-  auto mix_str = [&](const std::string& s) {
+  auto mix_str = [&](std::string_view s) {
     mix(s.size());
     for (const char c : s) mix(static_cast<std::uint8_t>(c));
   };
@@ -255,12 +256,12 @@ std::uint64_t SimCluster::state_digest() const {
     // given seed (the only ordering this digest is used under).
     for (const auto& [key, chain] : e.partition_store().chains()) {
       mix_str(store::key_name(key));
-      for (const store::Version& v : chain.versions()) {
-        mix(static_cast<std::uint64_t>(v.ut));
-        mix(v.sr);
-        mix_str(v.value);
-        for (std::uint32_t i = 0; i < v.dv.size(); ++i) {
-          mix(static_cast<std::uint64_t>(v.dv[i]));
+      for (const store::VersionRecord& v : chain) {
+        mix(static_cast<std::uint64_t>(v.ut()));
+        mix(v.sr());
+        mix_str(v.value());
+        for (std::uint32_t i = 0; i < v.num_dcs(); ++i) {
+          mix(static_cast<std::uint64_t>(v.dv_at(i)));
         }
       }
     }
@@ -305,7 +306,7 @@ std::vector<std::string> SimCluster::divergent_keys() const {
       for (const auto& [key, chain] : store.chains()) keys[key] = true;
     }
     for (const auto& [key, unused] : keys) {
-      const store::Version* first = nullptr;
+      const store::VersionRecord* first = nullptr;
       bool diverged = false;
       for (DcId dc = 0; dc < topo.num_dcs; ++dc) {
         const auto& store =
@@ -313,7 +314,7 @@ std::vector<std::string> SimCluster::divergent_keys() const {
                 ->engine()
                 .partition_store();
         const store::VersionChain* chain = store.find(key);
-        const store::Version* head =
+        const store::VersionRecord* head =
             chain != nullptr ? chain->freshest() : nullptr;
         if (dc == 0) {
           first = head;
@@ -321,8 +322,8 @@ std::vector<std::string> SimCluster::divergent_keys() const {
         }
         const bool both_null = (first == nullptr && head == nullptr);
         if (both_null) continue;
-        if (first == nullptr || head == nullptr || first->ut != head->ut ||
-            first->sr != head->sr || first->value != head->value) {
+        if (first == nullptr || head == nullptr || first->ut() != head->ut() ||
+            first->sr() != head->sr() || first->value() != head->value()) {
           diverged = true;
         }
       }

@@ -65,9 +65,8 @@ proto::ReadItem CureServer::choose_get_version(const proto::GetReq& req) {
     charge(service_.version_hop_us);
     return item;
   }
-  const auto lookup = chain->freshest_where([this](const store::Version& v) {
-    return stable(v);
-  });
+  const auto lookup = chain->freshest_where(
+      [this](const store::VersionRecord& v) { return stable(v); });
   charge(service_.version_hop_us * static_cast<Duration>(lookup.hops));
   if (lookup.version == nullptr) {
     // Every explicit version is unstable; fall back to the implicit initial
@@ -78,10 +77,10 @@ proto::ReadItem CureServer::choose_get_version(const proto::GetReq& req) {
     item.dv = VersionVector(topology_.num_dcs);
   } else {
     item.found = true;
-    item.value = lookup.version->value;
-    item.sr = lookup.version->sr;
-    item.ut = lookup.version->ut;
-    item.dv = lookup.version->dv;
+    item.value = lookup.version->value();
+    item.sr = lookup.version->sr();
+    item.ut = lookup.version->ut();
+    item.dv = lookup.version->dv();
   }
   item.fresher_versions = lookup.fresher;
   item.unmerged_versions = count_unmerged(*chain);

@@ -45,8 +45,8 @@ class CureServer : public server::ReplicaBase {
   /// entry to the coordinator's VV): a transaction could return a version
   /// that a later GET hides — a monotonic-reads violation the cluster-fuzz
   /// harness caught when a crashed partition froze the DC's GSS minimum.
-  [[nodiscard]] bool stable(const store::Version& v) const {
-    if (v.sr == local_dc()) return true;
+  [[nodiscard]] bool stable(const store::VersionRecord& v) const {
+    if (v.sr() == local_dc()) return true;
     return gss_.dominates(v.commit_vector(), skip_local());
   }
 
@@ -76,7 +76,7 @@ class CureServer : public server::ReplicaBase {
   /// client's read vector, and RDV dominance is transitive along read/write
   /// chains, so every version in the client's causal past is coordinate-wise
   /// covered by TV.
-  [[nodiscard]] bool slice_visible(const store::Version& v,
+  [[nodiscard]] bool slice_visible(const store::VersionRecord& v,
                                    const VersionVector& tv,
                                    bool pessimistic) const override {
     (void)pessimistic;  // every Cure* session is pessimistic
@@ -86,7 +86,7 @@ class CureServer : public server::ReplicaBase {
   /// Staleness metric: number of not-yet-stable versions in the chain.
   [[nodiscard]] std::uint32_t count_unmerged(
       const store::VersionChain& chain) const override {
-    return chain.count_unstable([this](const store::Version& v) {
+    return chain.count_unstable([this](const store::VersionRecord& v) {
       return stable(v);
     });
   }
@@ -96,7 +96,8 @@ class CureServer : public server::ReplicaBase {
   /// must be retained.
   [[nodiscard]] VersionVector gc_watermark() const override { return gss_; }
   [[nodiscard]] bool gc_version_at_floor(
-      const store::Version& v, const VersionVector& gv) const override {
+      const store::VersionRecord& v,
+      const VersionVector& gv) const override {
     return v.commit_vector().leq(gv);
   }
 

@@ -56,8 +56,8 @@ Duration HaPoccServer::on_gss_broadcast(const proto::GssBroadcast& msg) {
   return work_;
 }
 
-bool HaPoccServer::stable(const store::Version& v) const {
-  if (v.sr == local_dc() && !v.opt_origin) return true;
+bool HaPoccServer::stable(const store::VersionRecord& v) const {
+  if (v.sr() == local_dc() && !v.opt_origin()) return true;
   // Skip the local coordinate (see CureServer::stable): it names dependencies
   // on this DC's own items, visible here regardless of stabilization lag.
   // For opt-origin local items this is exactly the §IV-C condition — every
@@ -65,7 +65,7 @@ bool HaPoccServer::stable(const store::Version& v) const {
   return gss_.dominates(v.commit_vector(), skip_local());
 }
 
-bool HaPoccServer::visible_to_pessimistic(const store::Version& v,
+bool HaPoccServer::visible_to_pessimistic(const store::VersionRecord& v,
                                           const VersionVector& tv) const {
   // §IV-C: "servers can recognize a local item d created by an optimistic
   // client and make d visible to pessimistic clients only if d is stable
@@ -75,7 +75,7 @@ bool HaPoccServer::visible_to_pessimistic(const store::Version& v,
   // so the §IV-C hazard (depending on unreplicated remote items) stays
   // excluded while every slice node of one transaction applies the same
   // predicate — required for the snapshot property.
-  if (v.sr == local_dc() && v.opt_origin) {
+  if (v.sr() == local_dc() && v.opt_origin()) {
     return v.commit_vector().leq(tv);
   }
   return true;
@@ -105,9 +105,8 @@ proto::ReadItem HaPoccServer::choose_get_version(const proto::GetReq& req) {
     charge(service_.version_hop_us);
     return item;
   }
-  const auto lookup = chain->freshest_where([this](const store::Version& v) {
-    return stable(v);
-  });
+  const auto lookup = chain->freshest_where(
+      [this](const store::VersionRecord& v) { return stable(v); });
   charge(service_.version_hop_us * static_cast<Duration>(lookup.hops));
   if (lookup.version == nullptr) {
     item.found = false;
@@ -116,10 +115,10 @@ proto::ReadItem HaPoccServer::choose_get_version(const proto::GetReq& req) {
     item.dv = VersionVector(topology_.num_dcs);
   } else {
     item.found = true;
-    item.value = lookup.version->value;
-    item.sr = lookup.version->sr;
-    item.ut = lookup.version->ut;
-    item.dv = lookup.version->dv;
+    item.value = lookup.version->value();
+    item.sr = lookup.version->sr();
+    item.ut = lookup.version->ut();
+    item.dv = lookup.version->dv();
   }
   item.fresher_versions = lookup.fresher;
   item.unmerged_versions = count_unmerged(*chain);
@@ -136,7 +135,7 @@ VersionVector HaPoccServer::compute_tx_snapshot(
   return tv;
 }
 
-bool HaPoccServer::slice_visible(const store::Version& v,
+bool HaPoccServer::slice_visible(const store::VersionRecord& v,
                                  const VersionVector& tv,
                                  bool pessimistic) const {
   if (pessimistic) {
@@ -150,7 +149,7 @@ bool HaPoccServer::slice_visible(const store::Version& v,
 
 std::uint32_t HaPoccServer::count_unmerged(
     const store::VersionChain& chain) const {
-  return chain.count_unstable([this](const store::Version& v) {
+  return chain.count_unstable([this](const store::VersionRecord& v) {
     return stable(v);
   });
 }
@@ -190,8 +189,8 @@ std::uint64_t HaPoccServer::discard_lost_updates(DcId lost_dc) {
   // Drop versions depending on updates from the lost DC that never arrived
   // here. Updates *from* healthy DCs can be discarded too — exactly the cost
   // §III-B describes for optimistic operation after a DC loss.
-  return store_.purge_if([&](const store::Version& v) {
-    return v.dv[lost_dc] > received_up_to;
+  return store_.purge_if([&](const store::VersionRecord& v) {
+    return v.dv_at(lost_dc) > received_up_to;
   });
 }
 

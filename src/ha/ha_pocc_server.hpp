@@ -52,7 +52,7 @@ class HaPoccServer : public PoccServer {
   proto::ReadItem choose_get_version(const proto::GetReq& req) override;
   [[nodiscard]] VersionVector compute_tx_snapshot(
       const proto::RoTxReq& req) const override;
-  [[nodiscard]] bool slice_visible(const store::Version& v,
+  [[nodiscard]] bool slice_visible(const store::VersionRecord& v,
                                    const VersionVector& tv,
                                    bool pessimistic) const override;
   [[nodiscard]] std::uint32_t count_unmerged(
@@ -65,7 +65,7 @@ class HaPoccServer : public PoccServer {
   /// node's current GSS — a node-local test breaks snapshot consistency
   /// when sibling slice nodes hold skewed GSS views (see ReplicaBase).
   [[nodiscard]] bool visible_to_pessimistic(
-      const store::Version& v, const VersionVector& tv) const override;
+      const store::VersionRecord& v, const VersionVector& tv) const override;
   [[nodiscard]] bool mark_opt_origin(const proto::PutReq& req) const override {
     return !req.pessimistic;
   }
@@ -81,7 +81,8 @@ class HaPoccServer : public PoccServer {
   // --- Cure-style GC (§IV-C) ---
   [[nodiscard]] VersionVector gc_watermark() const override { return gss_; }
   [[nodiscard]] bool gc_version_at_floor(
-      const store::Version& v, const VersionVector& gv) const override {
+      const store::VersionRecord& v,
+      const VersionVector& gv) const override {
     return v.commit_vector().leq(gv);
   }
 
@@ -89,7 +90,7 @@ class HaPoccServer : public PoccServer {
   Duration on_stab_report(const proto::StabReport& msg) override;
   Duration on_gss_broadcast(const proto::GssBroadcast& msg) override;
 
-  [[nodiscard]] bool stable(const store::Version& v) const;
+  [[nodiscard]] bool stable(const store::VersionRecord& v) const;
 
   VersionVector gss_;
   std::unordered_map<PartitionId, VersionVector> stab_reports_;

@@ -451,6 +451,14 @@ void TcpNodeHost::register_metrics() {
     r.gauge_fn("pocc_store_versions", part_label, [eng] {
       return static_cast<std::int64_t>(eng->partition_store().stats().versions);
     });
+    r.gauge_fn(
+        "pocc_store_bytes", part_label,
+        [eng] {
+          return static_cast<std::int64_t>(
+              eng->partition_store().stats().bytes);
+        },
+        "Bytes of the live version records (header, dependency vector, "
+        "value): the stored data's share of resident memory");
     r.gauge_fn("pocc_store_multi_version_keys", part_label, [eng] {
       return static_cast<std::int64_t>(
           eng->partition_store().stats().multi_version_keys);

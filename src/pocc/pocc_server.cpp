@@ -14,12 +14,12 @@ proto::ReadItem PoccServer::choose_get_version(const proto::GetReq& req) {
     item.dv = VersionVector(topology_.num_dcs);
     return item;
   }
-  const store::Version* v = chain->freshest();
+  const store::VersionRecord* v = chain->freshest();
   item.found = true;
-  item.value = v->value;
-  item.sr = v->sr;
-  item.ut = v->ut;
-  item.dv = v->dv;
+  item.value = v->value();
+  item.sr = v->sr();
+  item.ut = v->ut();
+  item.dv = v->dv();
   // POCC returns the freshest version by construction: a GET is never "old"
   // and the freshness metrics stay at zero (§V-B).
   item.fresher_versions = 0;

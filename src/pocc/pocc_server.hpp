@@ -36,11 +36,11 @@ class PoccServer : public server::ReplicaBase {
   }
 
   /// Alg. 2 line 43: d is visible in the snapshot iff d.DV <= TV.
-  [[nodiscard]] bool slice_visible(const store::Version& v,
+  [[nodiscard]] bool slice_visible(const store::VersionRecord& v,
                                    const VersionVector& tv,
                                    bool pessimistic) const override {
     (void)pessimistic;  // plain POCC has no pessimistic sessions
-    return v.dv.leq(tv);
+    return v.dv().leq(tv);
   }
 };
 

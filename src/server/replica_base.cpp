@@ -316,10 +316,10 @@ Duration ReplicaBase::on_recovery_req(const proto::RecoveryReq& req) {
     return sr < req.durable_vv.size() ? req.durable_vv[sr] : 0;
   };
   for (const auto& [key, chain] : store_.chains()) {
-    for (const store::Version& v : chain.versions()) {
-      if (v.ut > cut(v.sr)) {
+    for (const store::VersionRecord& v : chain) {
+      if (v.ut() > cut(v.sr())) {
         charge(service_.replicate_us);
-        ctx_.send(req.from, proto::RecoveryVersion{v});
+        ctx_.send(req.from, proto::RecoveryVersion{v.to_version()});
       }
     }
   }
@@ -347,10 +347,10 @@ Duration ReplicaBase::on_recovery_done(const proto::RecoveryDone& msg) {
     // restored on the peer (RecoveryVersion, not Replicate).
     const Timestamp peer_has = msg.vv[local_dc()];
     for (const auto& [key, chain] : store_.chains()) {
-      for (const store::Version& v : chain.versions()) {
-        if (v.sr == local_dc() && v.ut > peer_has) {
+      for (const store::VersionRecord& v : chain) {
+        if (v.sr() == local_dc() && v.ut() > peer_has) {
           charge(service_.replicate_us);
-          ctx_.send(msg.from, proto::RecoveryVersion{v});
+          ctx_.send(msg.from, proto::RecoveryVersion{v.to_version()});
         }
       }
     }
@@ -473,10 +473,11 @@ proto::ReadItem ReplicaBase::read_in_snapshot(KeyId key,
     item.dv = VersionVector(topology_.num_dcs);
     return item;
   }
-  const auto lookup = chain->freshest_where([&](const store::Version& v) {
-    if (pessimistic && !visible_to_pessimistic(v, tv)) return false;
-    return slice_visible(v, tv, pessimistic);
-  });
+  const auto lookup =
+      chain->freshest_where([&](const store::VersionRecord& v) {
+        if (pessimistic && !visible_to_pessimistic(v, tv)) return false;
+        return slice_visible(v, tv, pessimistic);
+      });
   // Fuzz triage hook (docs/TESTING.md): POCC_DEBUG_KEY=<key> dumps every
   // snapshot read of that key that found no visible version — replaying a
   // failing seed with this set shows the chain/TV/VV the decision saw.
@@ -488,10 +489,10 @@ proto::ReadItem ReplicaBase::read_in_snapshot(KeyId key,
                  store::key_name(key).c_str(), self_.to_string().c_str(),
                  static_cast<long long>(ctx_.time()), tv.to_string().c_str(),
                  vv_.to_string().c_str());
-    for (const store::Version& v : chain->versions()) {
+    for (const store::VersionRecord& v : *chain) {
       std::fprintf(stderr, "[dbg]   ut=%lld sr=%u dv=%s\n",
-                   static_cast<long long>(v.ut), v.sr,
-                   v.dv.to_string().c_str());
+                   static_cast<long long>(v.ut()), v.sr(),
+                   v.dv().to_string().c_str());
     }
   }
   charge(service_.version_hop_us * static_cast<Duration>(lookup.hops));
@@ -503,10 +504,10 @@ proto::ReadItem ReplicaBase::read_in_snapshot(KeyId key,
     item.dv = VersionVector(topology_.num_dcs);
   } else {
     item.found = true;
-    item.value = lookup.version->value;
-    item.sr = lookup.version->sr;
-    item.ut = lookup.version->ut;
-    item.dv = lookup.version->dv;
+    item.value = lookup.version->value();
+    item.sr = lookup.version->sr();
+    item.ut = lookup.version->ut();
+    item.dv = lookup.version->dv();
   }
   item.fresher_versions = lookup.fresher;
   item.unmerged_versions = unmerged;
@@ -593,7 +594,7 @@ Duration ReplicaBase::on_gc_report(const proto::GcReport& msg) {
 
 Duration ReplicaBase::on_gc_vector(const proto::GcVector& msg) {
   charge(service_.gc_round_us);
-  const std::uint64_t removed = store_.gc([&](const store::Version& v) {
+  const std::uint64_t removed = store_.gc([&](const store::VersionRecord& v) {
     return gc_version_at_floor(v, msg.gv);
   });
   charge(service_.version_hop_us * static_cast<Duration>(removed));
@@ -601,9 +602,9 @@ Duration ReplicaBase::on_gc_vector(const proto::GcVector& msg) {
   return work_;
 }
 
-bool ReplicaBase::gc_version_at_floor(const store::Version& v,
+bool ReplicaBase::gc_version_at_floor(const store::VersionRecord& v,
                                       const VersionVector& gv) const {
-  return v.dv.leq(gv);
+  return v.dv().leq(gv);
 }
 
 // ----------------------------------------------------- stabilization ----
@@ -636,7 +637,7 @@ void ReplicaBase::on_park_timeout(ClientId client, Duration blocked_us) {
   POCC_ASSERT_MSG(false, "parked request expired outside HA mode");
 }
 
-bool ReplicaBase::visible_to_pessimistic(const store::Version& v,
+bool ReplicaBase::visible_to_pessimistic(const store::VersionRecord& v,
                                          const VersionVector& tv) const {
   (void)v;
   (void)tv;

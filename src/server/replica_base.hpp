@@ -161,7 +161,7 @@ class ReplicaBase {
 
   /// Visibility of a version within snapshot `tv` (Alg. 2 line 43 for POCC;
   /// commit-vector rule for Cure* and for HA-POCC's pessimistic sessions).
-  [[nodiscard]] virtual bool slice_visible(const store::Version& v,
+  [[nodiscard]] virtual bool slice_visible(const store::VersionRecord& v,
                                            const VersionVector& tv,
                                            bool pessimistic) const = 0;
 
@@ -189,7 +189,7 @@ class ReplicaBase {
   /// past a sibling slice hides, breaking the snapshot property (found by
   /// the cluster-fuzz harness).
   [[nodiscard]] virtual bool visible_to_pessimistic(
-      const store::Version& v, const VersionVector& tv) const;
+      const store::VersionRecord& v, const VersionVector& tv) const;
 
   /// Whether versions created by this PUT carry the optimistic-origin tag
   /// (HA-POCC §IV-C). Base protocols never tag.
@@ -197,8 +197,8 @@ class ReplicaBase {
 
   /// GC retention floor: true when `v` is at or below the aggregate GC vector
   /// (POCC: dv <= GV, Alg. §IV-B; Cure*: commit vector <= GV).
-  [[nodiscard]] virtual bool gc_version_at_floor(const store::Version& v,
-                                                 const VersionVector& gv) const;
+  [[nodiscard]] virtual bool gc_version_at_floor(
+      const store::VersionRecord& v, const VersionVector& gv) const;
 
   /// Called when a parked slice expires (HA-POCC aborts the transaction).
   virtual void on_slice_timeout(std::uint64_t tx_id, NodeId coordinator,

@@ -4,18 +4,21 @@
 
 namespace pocc::store {
 
-std::size_t PartitionStore::insert(Version v) {
+std::size_t PartitionStore::insert(const Version& v) {
   std::unique_lock lk(mu_);
-  auto [chain, created] = chains_.try_emplace(v.key);
-  const KeyId key = v.key;
-  const std::size_t before = chain->size();
-  const std::size_t pos = chain->insert(std::move(v));
-  if (chain->size() != before) {  // not a duplicate
+  VersionChain* chain = chains_.try_emplace(v.key).first;
+  const bool was_empty = chain->empty();
+  const bool was_single = !was_empty && !chain->multi();
+  const VersionChain::Inserted r = chain->insert(v);
+  if (r.bytes != 0) {  // not a duplicate
     ++versions_;
-    // Exact 1 -> 2 transition: the key enters the multi-version set once.
-    if (chain->size() == 2) multi_version_.push_back(key);
+    bytes_ += r.bytes;
+    // Exact 0 -> 1 and 1 -> 2 transitions: a key counts once, and enters
+    // the multi-version set once.
+    if (was_empty) ++keys_;
+    if (was_single) multi_version_.push_back(v.key);
   }
-  return pos;
+  return r.pos;
 }
 
 const VersionChain* PartitionStore::find(KeyId key) const {
@@ -25,15 +28,16 @@ const VersionChain* PartitionStore::find(KeyId key) const {
 void PartitionStore::rebuild_multi_version() {
   multi_version_.clear();
   for (const auto& [key, chain] : chains_.entries()) {
-    if (chain.size() > 1) multi_version_.push_back(key);
+    if (chain.multi()) multi_version_.push_back(key);
   }
 }
 
 StoreStats PartitionStore::stats() const {
   std::shared_lock lk(mu_);
   StoreStats s;
-  s.keys = chains_.size();
+  s.keys = keys_;
   s.versions = versions_;
+  s.bytes = bytes_;
   s.gc_removed = gc_removed_;
   s.multi_version_keys = multi_version_.size();
   return s;

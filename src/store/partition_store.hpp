@@ -8,7 +8,10 @@
 //
 // Chains are keyed by interned KeyId in an open-addressing flat map (see
 // flat_key_map.hpp): a lookup costs one u32 mix and a short linear probe,
-// instead of hashing and comparing a heap-allocated string.
+// instead of hashing and comparing a heap-allocated string. A map entry is
+// the KeyId plus the chain's head pointer (16 B); each version lives in one
+// exact-size record (see version_chain.hpp), so a one-version key costs
+// 16 B + 32 B + 8 B per DC + its value bytes.
 //
 // Concurrency (one-writer / concurrent-reader): each partition is owned by
 // exactly one worker thread (rt::NodeGroup pins partitions to workers), and
@@ -27,6 +30,7 @@
 #include <cstdint>
 #include <mutex>
 #include <shared_mutex>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -40,6 +44,7 @@ namespace pocc::store {
 struct StoreStats {
   std::uint64_t keys = 0;            // keys with at least one explicit version
   std::uint64_t versions = 0;        // total explicit versions
+  std::uint64_t bytes = 0;           // bytes of the live version records
   std::uint64_t gc_removed = 0;      // versions removed by GC so far
   std::uint64_t multi_version_keys = 0;
 };
@@ -48,9 +53,10 @@ class PartitionStore {
  public:
   // ----- owner-thread API (the one writer) -----
 
-  /// Insert a version into its key's chain. Returns the insert position
-  /// (0 == the new version is the key's freshest).
-  std::size_t insert(Version v);
+  /// Insert a version into its key's chain (one record allocation; none for
+  /// a duplicate). Returns the insert position (0 == the new version is the
+  /// key's freshest).
+  std::size_t insert(const Version& v);
 
   /// Chain for `key`, or nullptr if the key has never been written.
   /// Owner-thread only: unlocked (the owner is the sole writer); foreign
@@ -60,34 +66,53 @@ class PartitionStore {
   /// GC pass over keys with more than one version: for each chain, retain the
   /// newest version whose `reachable_floor` holds plus everything fresher
   /// (see VersionChain::gc). Returns versions removed.
+  ///
+  /// `reachable_floor` takes a `const VersionRecord&`. A predicate written
+  /// against the interchange type (`const Version&`, as an offline replay of
+  /// Version streams may be) is still accepted: each visited record is then
+  /// rebuilt into a Version first, which allocates. The engines never take
+  /// that path.
   template <typename Pred>
   std::uint64_t gc(Pred&& reachable_floor) {
-    std::unique_lock lk(mu_);
-    std::uint64_t total_removed = 0;
-    for (std::size_t i = 0; i < multi_version_.size();) {
-      VersionChain* chain = chains_.find(multi_version_[i]);
-      POCC_ASSERT(chain != nullptr);
-      total_removed += chain->gc(reachable_floor);
-      if (chain->size() <= 1) {
-        multi_version_[i] = multi_version_.back();
-        multi_version_.pop_back();
-      } else {
-        ++i;
+    if constexpr (!std::is_invocable_r_v<bool, Pred&, const VersionRecord&>) {
+      return gc([&](const VersionRecord& r) {
+        return reachable_floor(r.to_version());
+      });
+    } else {
+      std::unique_lock lk(mu_);
+      std::uint64_t total_removed = 0;
+      for (std::size_t i = 0; i < multi_version_.size();) {
+        VersionChain* chain = chains_.find(multi_version_[i]);
+        POCC_ASSERT(chain != nullptr);
+        const VersionChain::Removed r = chain->gc(reachable_floor);
+        total_removed += r.versions;
+        bytes_ -= r.bytes;
+        if (!chain->multi()) {
+          multi_version_[i] = multi_version_.back();
+          multi_version_.pop_back();
+        } else {
+          ++i;
+        }
       }
+      gc_removed_ += total_removed;
+      versions_ -= total_removed;
+      return total_removed;
     }
-    gc_removed_ += total_removed;
-    versions_ -= total_removed;
-    return total_removed;
   }
 
-  /// Remove every version matching `pred` from every chain (HA-POCC's
-  /// lost-update discard, §III-B). Returns versions removed.
+  /// Remove every version matching `pred` (a `const VersionRecord&`
+  /// predicate) from every chain (HA-POCC's lost-update discard, §III-B).
+  /// Returns versions removed.
   template <typename Pred>
   std::uint64_t purge_if(Pred&& pred) {
     std::unique_lock lk(mu_);
     std::uint64_t removed = 0;
     for (auto& [key, chain] : chains_.entries()) {
-      removed += chain.erase_if(pred);
+      if (chain.empty()) continue;
+      const VersionChain::Removed r = chain.erase_if(pred);
+      removed += r.versions;
+      bytes_ -= r.bytes;
+      if (chain.empty()) --keys_;  // the map keeps the entry; it counts no more
     }
     rebuild_multi_version();
     versions_ -= removed;
@@ -135,8 +160,12 @@ class PartitionStore {
   // taken by owner reads (single-writer invariant, see file header).
   mutable std::shared_mutex mu_;
   FlatKeyMap<VersionChain> chains_;
+  static_assert(sizeof(FlatKeyMap<VersionChain>::Entry) == 16,
+                "a map entry is a KeyId and the chain's head pointer");
   std::vector<KeyId> multi_version_;
+  std::uint64_t keys_ = 0;
   std::uint64_t versions_ = 0;
+  std::uint64_t bytes_ = 0;
   std::uint64_t gc_removed_ = 0;
 };
 

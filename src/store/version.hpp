@@ -8,11 +8,12 @@
 
 namespace pocc::store {
 
-/// One version of a data item. The key travels as an interned KeyId (see
+/// One version of a data item: the interchange form that the wire codec, the
+/// WAL and the checker carry. The key travels as an interned KeyId (see
 /// key_space.hpp) — wire-size accounting still charges the original key
-/// bytes, so the protocol's metadata model is unchanged. Members are ordered
-/// by alignment (8-byte ones first) so the record carries no interior
-/// padding: a store holds one of these per live version.
+/// bytes, so the protocol's metadata model is unchanged. A PartitionStore
+/// does not keep these: it packs each stored version into one exact-size
+/// VersionRecord (see version_chain.hpp).
 struct Version {
   std::string value;  // v: item value
   Timestamp ut = 0;   // update time: physical timestamp at creation
@@ -39,7 +40,6 @@ struct Version {
     return cv;
   }
 };
-static_assert(sizeof(Version) <= 128, "Version grew padding or a member");
 
 /// The implicit initial version of an unwritten key: empty value, zero
 /// timestamp, no dependencies. Keys are logically pre-loaded with this (the

@@ -46,28 +46,38 @@ void put_vv(std::vector<std::uint8_t>& out, const VersionVector& vv) {
 
 /// Version fields, shared between kVersion records and snapshot bodies. The
 /// key travels as its original string: ids are per-process.
-void put_version(std::vector<std::uint8_t>& out, const store::Version& v) {
-  const std::string_view name = store::KeySpace::global().name(v.key);
+void put_version(std::vector<std::uint8_t>& out, KeyId key,
+                 std::string_view value, DcId sr, Timestamp ut,
+                 const VersionVector& dv, bool opt_origin) {
+  const std::string_view name = store::KeySpace::global().name(key);
   POCC_ASSERT_MSG(name.size() <= std::numeric_limits<std::uint16_t>::max(),
                   "key longer than the WAL format's 64 KiB limit");
   put_le<std::uint16_t>(out, static_cast<std::uint16_t>(name.size()));
   put_bytes(out, name.data(), name.size());
-  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(v.value.size()));
-  put_bytes(out, v.value.data(), v.value.size());
-  put_le<std::uint32_t>(out, v.sr);
-  put_le<std::uint64_t>(out, static_cast<std::uint64_t>(v.ut));
-  put_vv(out, v.dv);
-  put_u8(out, v.opt_origin ? 1 : 0);
+  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(value.size()));
+  put_bytes(out, value.data(), value.size());
+  put_le<std::uint32_t>(out, sr);
+  put_le<std::uint64_t>(out, static_cast<std::uint64_t>(ut));
+  put_vv(out, dv);
+  put_u8(out, opt_origin ? 1 : 0);
+}
+
+/// A stored record streams the same bytes as the Version it was made from.
+void put_version(std::vector<std::uint8_t>& out,
+                 const store::VersionRecord& r) {
+  put_version(out, r.key(), r.value(), r.sr(), r.ut(), r.dv(),
+              r.opt_origin());
+}
+
+/// Bytes put_version(r) appends: the snapshot writer's sizing pass.
+std::size_t version_size(const store::VersionRecord& r) {
+  const std::size_t vv_bytes = 1 + std::size_t{r.num_dcs()} * 8;
+  return 2 + store::KeySpace::global().name_size(r.key()) + 4 +
+         r.value().size() + 4 + 8 + vv_bytes + 1;
 }
 
 std::size_t vv_size(const VersionVector& vv) {
   return 1 + static_cast<std::size_t>(vv.size()) * 8;
-}
-
-/// Bytes put_version(v) appends: the snapshot writer's sizing pass.
-std::size_t version_size(const store::Version& v) {
-  return 2 + store::KeySpace::global().name_size(v.key) + 4 + v.value.size() +
-         4 + 8 + vv_size(v.dv) + 1;
 }
 
 /// Little-endian field reader over either a whole in-memory input (record
@@ -264,7 +274,7 @@ void append_version_record(std::vector<std::uint8_t>& out,
                            const store::Version& v) {
   append_framed(out, [&] {
     put_u8(out, static_cast<std::uint8_t>(RecordKind::kVersion));
-    put_version(out, v);
+    put_version(out, v.key, v.value, v.sr, v.ut, v.dv, v.opt_origin);
   });
 }
 
@@ -309,7 +319,7 @@ std::optional<std::uint32_t> stream_snapshot(const store::PartitionStore& store,
   std::uint64_t count = 0;
   for (const auto& [key, chain] : store.chains()) {
     (void)key;
-    for (const store::Version& v : chain.versions()) {
+    for (const store::VersionRecord& v : chain) {
       body_len += version_size(v);
       ++count;
     }
@@ -340,7 +350,7 @@ std::optional<std::uint32_t> stream_snapshot(const store::PartitionStore& store,
   put_le<std::uint64_t>(chunk, count);
   for (const auto& [key, chain] : store.chains()) {
     (void)key;
-    for (const store::Version& v : chain.versions()) {
+    for (const store::VersionRecord& v : chain) {
       // A version larger than a whole chunk grows it once; every other
       // version fits the reserved buffer.
       if (chunk.size() + version_size(v) > kSnapshotChunkBytes &&

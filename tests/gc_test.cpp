@@ -3,6 +3,8 @@
 // protection of versions still needed by active transactions.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "cure/cure_server.hpp"
 #include "pocc/pocc_server.hpp"
 #include "store/key_space.hpp"
@@ -77,7 +79,7 @@ TEST_F(GcTest, GcRemovesVersionsBelowFloor) {
   // All three versions have dv = 0 <= GV, so only the newest is kept (it is
   // the floor version itself).
   EXPECT_EQ(chain->size(), 1u);
-  EXPECT_EQ(chain->freshest()->ut, 300'000);
+  EXPECT_EQ(chain->freshest()->ut(), 300'000);
 }
 
 TEST_F(GcTest, GcKeepsVersionsWithDepsAboveFloor) {
@@ -139,7 +141,7 @@ TEST_F(GcTest, CureGcUsesCommitVectorFloor) {
   const auto* chain = cure.partition_store().find(K("0:k"));
   ASSERT_NE(chain, nullptr);
   EXPECT_EQ(chain->size(), 2u);
-  EXPECT_EQ(chain->versions()[1].ut, 200'000);
+  EXPECT_EQ(std::next(chain->begin())->ut(), 200'000);
 }
 
 TEST_F(GcTest, CureWatermarkIsGss) {

@@ -116,9 +116,9 @@ TEST_F(HaPoccTest, OptimisticPutsAreTagged) {
   put_local(1, "0:opt", "v", /*pessimistic=*/false);
   put_local(2, "0:pess", "v", /*pessimistic=*/true);
   EXPECT_TRUE(
-      server_.partition_store().find(K("0:opt"))->freshest()->opt_origin);
+      server_.partition_store().find(K("0:opt"))->freshest()->opt_origin());
   EXPECT_FALSE(
-      server_.partition_store().find(K("0:pess"))->freshest()->opt_origin);
+      server_.partition_store().find(K("0:pess"))->freshest()->opt_origin());
 }
 
 TEST_F(HaPoccTest, OptOriginLocalItemHiddenFromPessimisticUntilStable) {
@@ -149,7 +149,7 @@ TEST_F(HaPoccTest, OptOriginLocalItemHiddenFromPessimisticUntilStable) {
 
   // Once the GSS covers the dependency and the item, pessimistic reads see it.
   const Timestamp item_ut =
-      server_.partition_store().find(K("0:opt"))->freshest()->ut;
+      server_.partition_store().find(K("0:opt"))->freshest()->ut();
   server_.handle_message(
       NodeId{0, 1},
       proto::GssBroadcast{VersionVector{item_ut, 600'000, 0}});

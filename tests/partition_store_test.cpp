@@ -1,18 +1,43 @@
-// Multi-version partition store: insert/find, stats upkeep, GC of
-// multi-version chains and targeted purging (lost-update discard) — plus a
-// randomized parity check of the flat KeyId-keyed map against a
-// std::unordered_map reference model.
+// Multi-version partition store: insert/find, stats upkeep (keys, versions,
+// record bytes), GC of multi-version chains, targeted purging (lost-update
+// discard) and the allocations an update costs — plus a randomized parity
+// check of the flat KeyId-keyed map against a std::unordered_map reference
+// model.
 #include "store/partition_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "store/key_space.hpp"
+
+// Every allocation of this test binary is counted, and its size kept, so a
+// test can see exactly what one store operation allocates.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::size_t> g_last_allocation_bytes{0};
+}  // namespace
+
+// Out of line: inlined into a caller, GCC would see operator delete meet a
+// pointer from malloc (or free() one from operator new) and warn about the
+// deliberate pairing.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_last_allocation_bytes.store(n, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace pocc::store {
 namespace {
@@ -39,7 +64,7 @@ TEST(PartitionStore, InsertAndFind) {
   s.insert(make_version("a", 10));
   const VersionChain* c = s.find(K("a"));
   ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->freshest()->ut, 10);
+  EXPECT_EQ(c->freshest()->ut(), 10);
 }
 
 TEST(PartitionStore, StatsTrackKeysAndVersions) {
@@ -51,6 +76,9 @@ TEST(PartitionStore, StatsTrackKeysAndVersions) {
   EXPECT_EQ(st.keys, 2u);
   EXPECT_EQ(st.versions, 3u);
   EXPECT_EQ(st.multi_version_keys, 1u);
+  // "val10", "val20", "val5": one exact-size record each.
+  EXPECT_EQ(st.bytes, 2 * VersionRecord::bytes_for(3, 5) +
+                          VersionRecord::bytes_for(3, 4));
 }
 
 TEST(PartitionStore, DuplicateInsertDoesNotDoubleCount) {
@@ -58,6 +86,7 @@ TEST(PartitionStore, DuplicateInsertDoesNotDoubleCount) {
   s.insert(make_version("a", 10));
   s.insert(make_version("a", 10));
   EXPECT_EQ(s.stats().versions, 1u);
+  EXPECT_EQ(s.stats().bytes, VersionRecord::bytes_for(3, 5));
 }
 
 TEST(PartitionStore, GcOnlyTouchesMultiVersionKeys) {
@@ -66,7 +95,8 @@ TEST(PartitionStore, GcOnlyTouchesMultiVersionKeys) {
   s.insert(make_version("multi", 10));
   s.insert(make_version("multi", 20));
   s.insert(make_version("multi", 30));
-  const auto removed = s.gc([](const Version& v) { return v.ut <= 20; });
+  const auto removed =
+      s.gc([](const VersionRecord& v) { return v.ut() <= 20; });
   EXPECT_EQ(removed, 1u);  // only ut=10 of "multi"
   EXPECT_EQ(s.find(K("single"))->size(), 1u);
   EXPECT_EQ(s.find(K("multi"))->size(), 2u);
@@ -78,10 +108,10 @@ TEST(PartitionStore, GcDropsKeyFromDirtySetWhenSingleVersionRemains) {
   PartitionStore s;
   s.insert(make_version("k", 10));
   s.insert(make_version("k", 20));
-  (void)s.gc([](const Version& v) { return v.ut <= 20; });
+  (void)s.gc([](const VersionRecord& v) { return v.ut() <= 20; });
   EXPECT_EQ(s.multi_version_keys().size(), 0u);
   // Subsequent GC passes are no-ops.
-  EXPECT_EQ(s.gc([](const Version&) { return true; }), 0u);
+  EXPECT_EQ(s.gc([](const VersionRecord&) { return true; }), 0u);
 }
 
 TEST(PartitionStore, MultiVersionSetHasNoDuplicatesAcrossGcCycles) {
@@ -91,7 +121,7 @@ TEST(PartitionStore, MultiVersionSetHasNoDuplicatesAcrossGcCycles) {
   s.insert(make_version("k", 10));
   s.insert(make_version("k", 20));
   EXPECT_EQ(s.multi_version_keys().size(), 1u);
-  (void)s.gc([](const Version&) { return true; });
+  (void)s.gc([](const VersionRecord&) { return true; });
   EXPECT_EQ(s.multi_version_keys().size(), 0u);
   s.insert(make_version("k", 30));
   EXPECT_EQ(s.multi_version_keys().size(), 1u);
@@ -105,11 +135,86 @@ TEST(PartitionStore, PurgeIfRemovesMatchingVersions) {
   s.insert(make_version("a", 20));
   s.insert(make_version("b", 30));
   const auto removed =
-      s.purge_if([](const Version& v) { return v.ut >= 20; });
+      s.purge_if([](const VersionRecord& v) { return v.ut() >= 20; });
   EXPECT_EQ(removed, 2u);
   EXPECT_EQ(s.stats().versions, 1u);
   EXPECT_EQ(s.find(K("a"))->size(), 1u);
   EXPECT_EQ(s.find(K("b"))->size(), 0u);
+}
+
+TEST(PartitionStore, PurgingAKeysOnlyVersionStopsCountingTheKey) {
+  PartitionStore s;
+  s.insert(make_version("gone", 10));
+  s.insert(make_version("kept", 10));
+  ASSERT_EQ(s.stats().keys, 2u);
+  EXPECT_EQ(s.purge_if([](const VersionRecord& v) {
+              return v.key() == K("gone");
+            }),
+            1u);
+  // The map keeps its (now empty) entry; the key no longer counts.
+  EXPECT_EQ(s.chains().size(), 2u);
+  EXPECT_EQ(s.stats().keys, 1u);
+  EXPECT_EQ(s.stats().bytes, VersionRecord::bytes_for(3, 5));
+  // A purge that finds nothing more to drop changes no count.
+  (void)s.purge_if([](const VersionRecord& v) { return v.key() == K("gone"); });
+  EXPECT_EQ(s.stats().keys, 1u);
+  // Written again, it counts again — once.
+  s.insert(make_version("gone", 20));
+  s.insert(make_version("gone", 30));
+  EXPECT_EQ(s.stats().keys, 2u);
+}
+
+TEST(PartitionStore, BytesFollowInsertGcAndPurge) {
+  PartitionStore s;
+  Version big = make_version("k", 10);
+  big.value.assign(512, 'x');
+  s.insert(big);
+  EXPECT_EQ(s.stats().bytes, 568u);  // 32 B header + 3 x 8 B dv + 512 B
+  s.insert(make_version("k", 20));   // "val20"
+  EXPECT_EQ(s.stats().bytes, 568u + VersionRecord::bytes_for(3, 5));
+  // GC frees the superseded 512 B version's record, and only that.
+  EXPECT_EQ(s.gc([](const VersionRecord&) { return true; }), 1u);
+  EXPECT_EQ(s.stats().bytes, VersionRecord::bytes_for(3, 5));
+  EXPECT_EQ(s.purge_if([](const VersionRecord&) { return true; }), 1u);
+  EXPECT_EQ(s.stats().bytes, 0u);
+  EXPECT_EQ(s.stats().versions, 0u);
+  EXPECT_EQ(s.stats().keys, 0u);
+}
+
+TEST(PartitionStore, OneAllocationPerUpdate) {
+  PartitionStore s;
+  // A quiescent key: updated once and GC'd back to one version (the
+  // multi-version set has grown to hold it once, as on a running server).
+  s.insert(make_version("quiet", 10));
+  s.insert(make_version("quiet", 20));
+  ASSERT_EQ(s.gc([](const VersionRecord&) { return true; }), 1u);
+  const Version update = make_version("quiet", 30);
+  const std::uint64_t before = g_allocations.load();
+  s.insert(update);
+  const std::uint64_t removed =
+      s.gc([](const VersionRecord&) { return true; });
+  const std::uint64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(removed, 1u);
+  // The update's record is the only allocation; GC allocates nothing. (A
+  // vector-backed chain allocated again to grow to two slots, and again to
+  // shrink back to one.)
+  EXPECT_EQ(allocations, 1u);
+  EXPECT_EQ(g_last_allocation_bytes.load(),
+            VersionRecord::bytes_for(3, update.value.size()));
+  // A duplicate delivery allocates nothing.
+  const std::uint64_t before_dup = g_allocations.load();
+  s.insert(update);
+  EXPECT_EQ(g_allocations.load() - before_dup, 0u);
+}
+
+TEST(PartitionStore, GcAcceptsAVersionPredicate) {
+  // Offline replays may still pass a `const Version&` predicate; it must
+  // decide exactly as the record predicate does.
+  PartitionStore s;
+  for (Timestamp t : {10, 20, 30}) s.insert(make_version("k", t));
+  EXPECT_EQ(s.gc([](const Version& v) { return v.ut <= 20; }), 1u);
+  EXPECT_EQ(s.find(K("k"))->size(), 2u);
+  EXPECT_EQ(s.stats().bytes, 2 * VersionRecord::bytes_for(3, 5));
 }
 
 TEST(PartitionStore, ChainsAccessorExposesAllKeys) {
@@ -158,7 +263,7 @@ TEST_P(PartitionStoreFuzzTest, FlatStoreMatchesReferenceModel) {
       store.insert(v);
     } else if (dice < 90) {  // GC below a random floor
       const auto floor = static_cast<Timestamp>(rng.uniform(50));
-      store.gc([&](const Version& v) { return v.ut <= floor; });
+      store.gc([&](const VersionRecord& v) { return v.ut() <= floor; });
       for (auto& [key, chain] : model) {
         if (chain.size() <= 1) continue;  // GC only walks multi-version keys
         for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -171,7 +276,8 @@ TEST_P(PartitionStoreFuzzTest, FlatStoreMatchesReferenceModel) {
       }
     } else {  // purge a random timestamp (erase_if path)
       const auto target = static_cast<Timestamp>(rng.uniform(50)) + 1;
-      store.purge_if([&](const Version& v) { return v.ut == target; });
+      store.purge_if(
+          [&](const VersionRecord& v) { return v.ut() == target; });
       for (auto& [key, chain] : model) {
         const auto before = chain.size();
         std::erase_if(chain, [&](const Version& v) { return v.ut == target; });
@@ -183,8 +289,14 @@ TEST_P(PartitionStoreFuzzTest, FlatStoreMatchesReferenceModel) {
   // Full-state comparison.
   EXPECT_EQ(store.stats().versions, model_versions);
   std::uint64_t model_multi = 0;
+  std::uint64_t model_keys = 0;
+  std::uint64_t model_bytes = 0;
   for (const auto& [key, chain] : model) {
     if (chain.size() > 1) ++model_multi;
+    if (!chain.empty()) ++model_keys;
+    for (const Version& v : chain) {
+      model_bytes += VersionRecord::bytes_for(3, v.value.size());
+    }
     const VersionChain* actual = store.find(key);
     if (chain.empty()) {
       // Key may exist with an empty chain (purged) or never inserted at all.
@@ -195,13 +307,17 @@ TEST_P(PartitionStoreFuzzTest, FlatStoreMatchesReferenceModel) {
     }
     ASSERT_NE(actual, nullptr) << "missing key " << key_name(key);
     ASSERT_EQ(actual->size(), chain.size()) << "key " << key_name(key);
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      EXPECT_EQ(actual->versions()[i].ut, chain[i].ut);
-      EXPECT_EQ(actual->versions()[i].sr, chain[i].sr);
-      EXPECT_EQ(actual->versions()[i].value, chain[i].value);
+    std::size_t i = 0;
+    for (const VersionRecord& v : *actual) {
+      EXPECT_EQ(v.ut(), chain[i].ut);
+      EXPECT_EQ(v.sr(), chain[i].sr);
+      EXPECT_EQ(v.value(), chain[i].value);
+      ++i;
     }
   }
   EXPECT_EQ(store.stats().multi_version_keys, model_multi);
+  EXPECT_EQ(store.stats().keys, model_keys);
+  EXPECT_EQ(store.stats().bytes, model_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionStoreFuzzTest,

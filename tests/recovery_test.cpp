@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -63,7 +64,7 @@ class WalContext : public testutil::MockContext {
 std::uint64_t engine_digest(const server::ReplicaBase& e) {
   std::uint64_t h = 0x517cc1b727220a95ULL;
   auto mix = [&h](std::uint64_t x) { h = splitmix64(h ^ x); };
-  auto mix_str = [&](const std::string& s) {
+  auto mix_str = [&](std::string_view s) {
     mix(s.size());
     for (const char c : s) mix(static_cast<std::uint8_t>(c));
   };
@@ -73,12 +74,12 @@ std::uint64_t engine_digest(const server::ReplicaBase& e) {
   }
   for (const auto& [key, chain] : e.partition_store().chains()) {
     mix_str(store::key_name(key));
-    for (const store::Version& v : chain.versions()) {
-      mix(static_cast<std::uint64_t>(v.ut));
-      mix(v.sr);
-      mix_str(v.value);
-      for (std::uint32_t i = 0; i < v.dv.size(); ++i) {
-        mix(static_cast<std::uint64_t>(v.dv[i]));
+    for (const store::VersionRecord& v : chain) {
+      mix(static_cast<std::uint64_t>(v.ut()));
+      mix(v.sr());
+      mix_str(v.value());
+      for (std::uint32_t i = 0; i < v.num_dcs(); ++i) {
+        mix(static_cast<std::uint64_t>(v.dv_at(i)));
       }
     }
   }

@@ -265,7 +265,7 @@ TEST(ReplicaFaultEdgeTest, CrashDuringReplicationThenRestartConverges) {
   const auto* chain =
       cluster.engine(victim).partition_store().find(store::intern_key("0:a"));
   ASSERT_NE(chain, nullptr);
-  EXPECT_EQ(chain->freshest()->value, "a2");
+  EXPECT_EQ(chain->freshest()->value(), "a2");
   EXPECT_TRUE(cluster.divergent_keys().empty());
   EXPECT_TRUE(cluster.checker()->violations().empty());
 }

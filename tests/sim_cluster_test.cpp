@@ -273,9 +273,9 @@ TEST(SimCluster, HotKeyContentionConvergesToLwwWinner) {
         cluster.engine(NodeId{dc, 0}).partition_store().find(store::intern_key("0:hot"))
             ->freshest();
     ASSERT_NE(head, nullptr);
-    EXPECT_EQ(head->ut, head0->ut);
-    EXPECT_EQ(head->sr, head0->sr);
-    EXPECT_EQ(head->value, head0->value);
+    EXPECT_EQ(head->ut(), head0->ut());
+    EXPECT_EQ(head->sr(), head0->sr());
+    EXPECT_EQ(head->value(), head0->value());
   }
 }
 

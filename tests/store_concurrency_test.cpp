@@ -50,9 +50,12 @@ TEST(StoreConcurrency, OneWriterManyReaders) {
           // Invariants that tear under a racing mutation: chains are
           // freshest-first and never empty.
           ASSERT_GT(chain->size(), 0u);
-          const auto& versions = chain->versions();
-          for (std::size_t i = 1; i < versions.size(); ++i) {
-            ASSERT_TRUE(versions[i - 1].fresher_than(versions[i]));
+          const VersionRecord* prev = nullptr;
+          for (const VersionRecord& v : *chain) {
+            if (prev != nullptr) {
+              ASSERT_TRUE(prev->fresher_than(v.ut(), v.sr()));
+            }
+            prev = &v;
           }
         });
         const StoreStats s = store.stats();
@@ -76,7 +79,7 @@ TEST(StoreConcurrency, OneWriterManyReaders) {
     ++inserted;
     if (round % 4'096 == 4'095) {
       // GC down to the freshest version of every chain.
-      store.gc([](const Version&) { return true; });
+      store.gc([](const VersionRecord&) { return true; });
     }
   }
   stop.store(true, std::memory_order_relaxed);
@@ -224,7 +227,7 @@ TEST(StoreConcurrency, ReadersSeeConsistentStatsDuringPurge) {
       v.opt_origin = (i % 2) == 0;
       store.insert(std::move(v));
     }
-    store.purge_if([](const Version& v) { return v.opt_origin; });
+    store.purge_if([](const VersionRecord& v) { return v.opt_origin(); });
   }
   stop.store(true, std::memory_order_relaxed);
   reader.join();

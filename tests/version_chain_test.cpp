@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "store/key_space.hpp"
 
@@ -47,29 +49,41 @@ TEST(Version, InitialVersionHasNoDeps) {
   EXPECT_EQ(v.dv, VersionVector(3));
 }
 
+/// Update times of the chain's versions, freshest first.
+std::vector<Timestamp> uts(const VersionChain& c) {
+  std::vector<Timestamp> out;
+  for (const VersionRecord& v : c) out.push_back(v.ut());
+  return out;
+}
+
+/// Bytes of every record in the chain.
+std::size_t bytes_of(const VersionChain& c) {
+  std::size_t n = 0;
+  for (const VersionRecord& v : c) n += v.bytes();
+  return n;
+}
+
 TEST(VersionChain, InsertKeepsFreshestFirst) {
   VersionChain c;
   c.insert(make_version(10, 0));
   c.insert(make_version(30, 0));
   c.insert(make_version(20, 0));
   ASSERT_EQ(c.size(), 3u);
-  EXPECT_EQ(c.versions()[0].ut, 30);
-  EXPECT_EQ(c.versions()[1].ut, 20);
-  EXPECT_EQ(c.versions()[2].ut, 10);
-  EXPECT_EQ(c.freshest()->ut, 30);
+  EXPECT_EQ(uts(c), (std::vector<Timestamp>{30, 20, 10}));
+  EXPECT_EQ(c.freshest()->ut(), 30);
 }
 
 TEST(VersionChain, InsertAtHeadReturnsZero) {
   VersionChain c;
-  EXPECT_EQ(c.insert(make_version(10, 0)), 0u);
-  EXPECT_EQ(c.insert(make_version(20, 0)), 0u);
-  EXPECT_EQ(c.insert(make_version(15, 0)), 1u);
+  EXPECT_EQ(c.insert(make_version(10, 0)).pos, 0u);
+  EXPECT_EQ(c.insert(make_version(20, 0)).pos, 0u);
+  EXPECT_EQ(c.insert(make_version(15, 0)).pos, 1u);
 }
 
 TEST(VersionChain, DuplicateInsertIsIdempotent) {
   VersionChain c;
-  c.insert(make_version(10, 1));
-  c.insert(make_version(10, 1));
+  EXPECT_NE(c.insert(make_version(10, 1)).bytes, 0u);
+  EXPECT_EQ(c.insert(make_version(10, 1)).bytes, 0u);  // nothing stored
   EXPECT_EQ(c.size(), 1u);
 }
 
@@ -79,18 +93,58 @@ TEST(VersionChain, ConcurrentSameTimestampOrdersBySr) {
   c.insert(make_version(10, 0));
   c.insert(make_version(10, 1));
   ASSERT_EQ(c.size(), 3u);
-  EXPECT_EQ(c.versions()[0].sr, 0u);
-  EXPECT_EQ(c.versions()[1].sr, 1u);
-  EXPECT_EQ(c.versions()[2].sr, 2u);
+  std::vector<DcId> srs;
+  for (const VersionRecord& v : c) srs.push_back(v.sr());
+  EXPECT_EQ(srs, (std::vector<DcId>{0, 1, 2}));
 }
 
 TEST(VersionChain, EmptyChain) {
   VersionChain c;
   EXPECT_TRUE(c.empty());
   EXPECT_EQ(c.freshest(), nullptr);
-  const auto r = c.freshest_where([](const Version&) { return true; });
+  EXPECT_EQ(bytes_of(c), 0u);
+  const auto r = c.freshest_where([](const VersionRecord&) { return true; });
   EXPECT_EQ(r.version, nullptr);
   EXPECT_EQ(r.hops, 0u);
+}
+
+TEST(VersionChain, RecordReadsBackTheVersion) {
+  Version in = make_version(42, 2, "payload", VersionVector{7, 8, 9});
+  in.opt_origin = true;
+  VersionChain c;
+  c.insert(in);
+  const VersionRecord& r = *c.freshest();
+  EXPECT_EQ(r.ut(), 42);
+  EXPECT_EQ(r.sr(), 2u);
+  EXPECT_EQ(r.key(), in.key);
+  EXPECT_TRUE(r.opt_origin());
+  EXPECT_EQ(r.value(), "payload");
+  EXPECT_EQ(r.dv(), (VersionVector{7, 8, 9}));
+  EXPECT_EQ(r.dv_at(1), 8);
+  EXPECT_EQ(r.commit_vector(), in.commit_vector());
+  const Version out = r.to_version();
+  EXPECT_EQ(out.ut, in.ut);
+  EXPECT_EQ(out.sr, in.sr);
+  EXPECT_EQ(out.key, in.key);
+  EXPECT_EQ(out.opt_origin, in.opt_origin);
+  EXPECT_EQ(out.value, in.value);
+  EXPECT_EQ(out.dv, in.dv);
+}
+
+TEST(VersionChain, OneVersionKeyIsOneExactSizeRecord) {
+  // Header, one timestamp per DC, then the value bytes — nothing else.
+  VersionChain c;
+  const std::string value(512, 'x');
+  const auto ins = c.insert(make_version(10, 0, value));
+  EXPECT_EQ(ins.bytes, 32u + 8u * 3u + 512u);
+  EXPECT_EQ(VersionRecord::bytes_for(3, 512), 568u);
+  EXPECT_EQ(c.freshest()->bytes(), 568u);
+  EXPECT_EQ(bytes_of(c), 568u);
+  EXPECT_EQ(c.size(), 1u);
+  EXPECT_FALSE(c.multi());
+  // An empty value still costs the header and the dependency vector.
+  VersionChain empty_value;
+  EXPECT_EQ(empty_value.insert(make_version(10, 0, "")).bytes, 32u + 24u);
 }
 
 TEST(VersionChain, FreshestWhereSkipsInvisible) {
@@ -99,9 +153,9 @@ TEST(VersionChain, FreshestWhereSkipsInvisible) {
   c.insert(make_version(20, 0, "mid"));
   c.insert(make_version(30, 0, "new"));
   const auto r = c.freshest_where(
-      [](const Version& v) { return v.ut <= 20; });
+      [](const VersionRecord& v) { return v.ut() <= 20; });
   ASSERT_NE(r.version, nullptr);
-  EXPECT_EQ(r.version->value, "mid");
+  EXPECT_EQ(r.version->value(), "mid");
   EXPECT_EQ(r.hops, 2u);     // inspected 30 then 20
   EXPECT_EQ(r.fresher, 1u);  // one fresher (invisible) version
 }
@@ -109,7 +163,7 @@ TEST(VersionChain, FreshestWhereSkipsInvisible) {
 TEST(VersionChain, FreshestWhereNoneVisible) {
   VersionChain c;
   c.insert(make_version(10, 0));
-  const auto r = c.freshest_where([](const Version&) { return false; });
+  const auto r = c.freshest_where([](const VersionRecord&) { return false; });
   EXPECT_EQ(r.version, nullptr);
   EXPECT_EQ(r.fresher, 1u);
 }
@@ -119,54 +173,83 @@ TEST(VersionChain, CountUnstable) {
   c.insert(make_version(10, 0));
   c.insert(make_version(20, 0));
   c.insert(make_version(30, 0));
-  EXPECT_EQ(c.count_unstable([](const Version& v) { return v.ut <= 10; }), 2u);
-  EXPECT_EQ(c.count_unstable([](const Version&) { return true; }), 0u);
+  EXPECT_EQ(
+      c.count_unstable([](const VersionRecord& v) { return v.ut() <= 10; }),
+      2u);
+  EXPECT_EQ(c.count_unstable([](const VersionRecord&) { return true; }), 0u);
 }
 
 TEST(VersionChain, GcKeepsFloorAndEverythingFresher) {
   VersionChain c;
   for (Timestamp t : {10, 20, 30, 40}) c.insert(make_version(t, 0));
   // Floor: first version (freshest-to-oldest) with ut <= 30 is 30.
-  const std::size_t removed = c.gc([](const Version& v) { return v.ut <= 30; });
-  EXPECT_EQ(removed, 2u);  // 20 and 10 removed
+  const auto removed =
+      c.gc([](const VersionRecord& v) { return v.ut() <= 30; });
+  EXPECT_EQ(removed.versions, 2u);  // 20 and 10 removed
   ASSERT_EQ(c.size(), 2u);
-  EXPECT_EQ(c.versions()[0].ut, 40);
-  EXPECT_EQ(c.versions()[1].ut, 30);
+  EXPECT_EQ(uts(c), (std::vector<Timestamp>{40, 30}));
 }
 
-TEST(VersionChain, GcReleasesTheSlotsItEmpties) {
+TEST(VersionChain, GcFreesTheRecordsItDrops) {
   VersionChain c;
-  c.insert(make_version(10, 0));
-  c.insert(make_version(20, 0));
-  c.insert(make_version(30, 0));
-  ASSERT_GE(c.versions().capacity(), 3u);
-  EXPECT_EQ(c.gc([](const Version& v) { return v.ut <= 30; }), 2u);
+  c.insert(make_version(10, 0, "a"));
+  c.insert(make_version(20, 0, "bbbb"));
+  c.insert(make_version(30, 0, "cc"));
+  const std::size_t before = bytes_of(c);
+  ASSERT_EQ(before, 3 * (32u + 24u) + 1u + 4u + 2u);
+  const auto removed =
+      c.gc([](const VersionRecord& v) { return v.ut() <= 30; });
+  EXPECT_EQ(removed.versions, 2u);
+  EXPECT_EQ(removed.bytes, 2 * (32u + 24u) + 1u + 4u);  // ut 20 and 10
   ASSERT_EQ(c.size(), 1u);
-  EXPECT_EQ(c.freshest()->ut, 30);
-  EXPECT_EQ(c.versions().capacity(), 1u);
+  EXPECT_EQ(c.freshest()->ut(), 30);
+  EXPECT_EQ(bytes_of(c), before - removed.bytes);
+  EXPECT_EQ(bytes_of(c), VersionRecord::bytes_for(3, 2));
 }
 
 TEST(VersionChain, GcNoFloorKeepsEverything) {
   VersionChain c;
   c.insert(make_version(10, 0));
   c.insert(make_version(20, 0));
-  EXPECT_EQ(c.gc([](const Version&) { return false; }), 0u);
+  const auto removed = c.gc([](const VersionRecord&) { return false; });
+  EXPECT_EQ(removed.versions, 0u);
+  EXPECT_EQ(removed.bytes, 0u);
   EXPECT_EQ(c.size(), 2u);
 }
 
 TEST(VersionChain, EraseIf) {
   VersionChain c;
   for (Timestamp t : {10, 20, 30}) c.insert(make_version(t, 0));
-  EXPECT_EQ(c.erase_if([](const Version& v) { return v.ut == 20; }), 1u);
-  EXPECT_EQ(c.size(), 2u);
+  EXPECT_EQ(
+      c.erase_if([](const VersionRecord& v) { return v.ut() == 20; }).versions,
+      1u);
+  EXPECT_EQ(uts(c), (std::vector<Timestamp>{30, 10}));
 }
 
-TEST(VersionChain, EraseIfReleasesTheSlotsItEmpties) {
+TEST(VersionChain, EraseIfFreesTheRecordsItDrops) {
   VersionChain c;
   for (Timestamp t : {10, 20, 30}) c.insert(make_version(t, 0));
-  EXPECT_EQ(c.erase_if([](const Version& v) { return v.ut != 20; }), 2u);
+  const std::size_t before = bytes_of(c);
+  const auto removed =
+      c.erase_if([](const VersionRecord& v) { return v.ut() != 20; });
+  EXPECT_EQ(removed.versions, 2u);
+  EXPECT_EQ(removed.bytes, 2 * VersionRecord::bytes_for(3, 1));
   ASSERT_EQ(c.size(), 1u);
-  EXPECT_EQ(c.versions().capacity(), 1u);
+  EXPECT_EQ(bytes_of(c), before - removed.bytes);
+  // Purging the last version leaves an empty chain holding nothing.
+  EXPECT_EQ(c.erase_if([](const VersionRecord&) { return true; }).bytes,
+            VersionRecord::bytes_for(3, 1));
+  EXPECT_TRUE(c.empty());
+  EXPECT_EQ(bytes_of(c), 0u);
+}
+
+TEST(VersionChain, MoveTransfersTheRecords) {
+  VersionChain a;
+  a.insert(make_version(10, 0));
+  a.insert(make_version(20, 0));
+  VersionChain b(std::move(a));
+  EXPECT_TRUE(a.empty());  // a moved-from chain is empty
+  EXPECT_EQ(uts(b), (std::vector<Timestamp>{20, 10}));
 }
 
 // Fuzz: arbitrary insertion orders (with duplicates and LWW ties) must always
@@ -190,14 +273,17 @@ TEST_P(VersionChainFuzzTest, InsertionOrderIndependence) {
     inserted.insert({ut, sr});
   }
   ASSERT_EQ(c.size(), inserted.size());  // duplicates ignored
-  for (std::size_t i = 1; i < c.versions().size(); ++i) {
+  const VersionRecord* prev = nullptr;
+  for (const VersionRecord& v : c) {
     // Strict LWW descending order, no equal (ut, sr) pairs.
-    EXPECT_TRUE(c.versions()[i - 1].fresher_than(c.versions()[i]))
-        << "position " << i;
+    if (prev != nullptr) {
+      EXPECT_TRUE(prev->fresher_than(v.ut(), v.sr())) << "ut " << v.ut();
+    }
+    prev = &v;
   }
   // The head is the LWW winner over everything inserted.
   for (const auto& [ut, sr] : inserted) {
-    EXPECT_FALSE(make_version(ut, sr).fresher_than(*c.freshest()));
+    EXPECT_FALSE(make_version(ut, sr).fresher_than(c.freshest()->to_version()));
   }
 }
 

@@ -93,10 +93,10 @@ std::uint64_t digest(const server::ReplicaBase& e) {
   }
   for (const auto& [key, chain] : e.partition_store().chains()) {
     for (const char c : store::key_name(key)) mix(static_cast<std::uint8_t>(c));
-    for (const store::Version& v : chain.versions()) {
-      mix(static_cast<std::uint64_t>(v.ut));
-      mix(v.sr);
-      for (const char c : v.value) mix(static_cast<std::uint8_t>(c));
+    for (const store::VersionRecord& v : chain) {
+      mix(static_cast<std::uint64_t>(v.ut()));
+      mix(v.sr());
+      for (const char c : v.value()) mix(static_cast<std::uint8_t>(c));
     }
   }
   return h;

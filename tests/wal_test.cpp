@@ -423,11 +423,12 @@ std::vector<std::uint8_t> reference_snapshot(
   put_vv(body, vv);
   std::uint64_t count = 0;
   for (const auto& entry : store.chains()) {
-    count += entry.second.versions().size();
+    count += entry.second.size();
   }
   put_le(body, count, 8);
   for (const auto& entry : store.chains()) {
-    for (const store::Version& v : entry.second.versions()) {
+    for (const store::VersionRecord& r : entry.second) {
+      const store::Version v = r.to_version();
       const std::string key = store::key_name(v.key);
       put_le(body, key.size(), 2);
       body.insert(body.end(), key.begin(), key.end());
@@ -521,10 +522,10 @@ TEST(WalTest, WriteFailureMidCutKeepsTheOlderLine) {
     // ignored.
     fill_large_store(store, vv, 1'000);
     for (const auto& entry : store.chains()) {
-      for (const store::Version& v : entry.second.versions()) {
-        if (v.ut >= 10'000) {
-          wal.log_version(v);
-          logged.push_back(v);
+      for (const store::VersionRecord& r : entry.second) {
+        if (r.ut() >= 10'000) {
+          wal.log_version(r.to_version());
+          logged.push_back(r.to_version());
         }
       }
     }
